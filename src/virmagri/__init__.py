@@ -18,7 +18,6 @@ from .brackets import (
     hbar_bracket,
     jacobi_defect,
     nth_product,
-    shift_apply,
     skew_defect,
 )
 from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono, mono_degree, mono_mul

@@ -18,30 +18,14 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono
+from .errors import DomainError
+from .sparse import Sparse, acc
 
 
-def _acc(d: dict, k, p: DiffPoly) -> None:
-    if not p:
-        return
-    cur = d.get(k)
-    s = p if cur is None else cur + p
-    if s:
-        d[k] = s
-    elif k in d:
-        del d[k]
-
-
-class LambdaPoly:
+class LambdaPoly(Sparse):
     """Finite map from lambda exponent to DiffPoly coefficient."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: p for k, p in (coeffs or {}).items() if p}
-
-    @classmethod
-    def zero(cls) -> "LambdaPoly":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def of(cls, f: DiffPoly) -> "LambdaPoly":
@@ -49,37 +33,12 @@ class LambdaPoly:
         return cls({0: f})
 
     def coeff(self, k: int) -> DiffPoly:
-        return self.coeffs.get(k, DiffPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            _acc(out, k, p)
-        return LambdaPoly(out)
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly({k: -p for k, p in self.coeffs.items()})
-
-    def scale(self, f) -> "LambdaPoly":
-        """Multiply every coefficient by f (an int or a DiffPoly)."""
-        return LambdaPoly({k: p * f for k, p in self.coeffs.items()})
+        return self.terms.get(k, DiffPoly.zero())
 
     def lambda_shift(self, m: int, sign: int = 1) -> "LambdaPoly":
         """Multiply by (sign*lambda)^m; no derivative acts."""
         s = -1 if (sign < 0 and m % 2) else 1
-        return LambdaPoly({k + m: p * s for k, p in self.coeffs.items()})
+        return LambdaPoly({k + m: p * s for k, p in self.terms.items()})
 
     def shift_apply(self, m: int, sign: int = 1) -> "LambdaPoly":
         """Apply the operator (sign*(lambda + d))^m, the total derivative
@@ -87,9 +46,9 @@ class LambdaPoly:
         cur = self
         for _ in range(m):
             nxt: dict = {}
-            for k, p in cur.coeffs.items():
-                _acc(nxt, k + 1, p)
-                _acc(nxt, k, p.derive())
+            for k, p in cur.terms.items():
+                acc(nxt, k + 1, p)
+                acc(nxt, k, p.derive())
             cur = LambdaPoly(nxt)
         if sign < 0 and m % 2:
             cur = -cur
@@ -99,9 +58,9 @@ class LambdaPoly:
         """Substitute lambda -> -lambda - d (the derivative acting on the
         coefficient it lands on)."""
         out: dict = {}
-        for k, p in self.coeffs.items():
-            for kk, pp in LambdaPoly.of(p).shift_apply(k, -1).coeffs.items():
-                _acc(out, kk, pp)
+        for k, p in self.terms.items():
+            for kk, pp in LambdaPoly.of(p).shift_apply(k, -1).terms.items():
+                acc(out, kk, pp)
         return LambdaPoly(out)
 
     def __str__(self):
@@ -112,41 +71,13 @@ class LambdaPoly:
     __repr__ = __str__
 
 
-class BiLambdaPoly:
+class BiLambdaPoly(Sparse):
     """Finite map from (lambda exponent, mu exponent) to DiffPoly."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: p for k, p in (coeffs or {}).items() if p}
+    __slots__ = ()
 
     def coeff(self, i: int, j: int) -> DiffPoly:
-        return self.coeffs.get((i, j), DiffPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, BiLambdaPoly) and self.coeffs == other.coeffs
-
-    def __neg__(self):
-        return BiLambdaPoly({k: -p for k, p in self.coeffs.items()})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            _acc(out, k, p)
-        return BiLambdaPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-
-def shift_apply(P: LambdaPoly, m: int, sign: int = 1) -> LambdaPoly:
-    return P.shift_apply(m, sign)
+        return self.terms.get((i, j), DiffPoly.zero())
 
 
 def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
@@ -173,15 +104,15 @@ def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
             continue
         base = LambdaPoly.of(fm).shift_apply(m, -1)
         mid = LambdaPoly.zero()
-        for p, v in gb.coeffs.items():
+        for p, v in gb.terms.items():
             mid = mid + base.shift_apply(p, 1).scale(v)
         for n in sorted(g.orders_present()):
             gn = g.partial_wrt(n)
             if gn.is_zero():
                 continue
             term = mid.shift_apply(n, 1).scale(gn)
-            for k, pp in term.coeffs.items():
-                _acc(total, k, pp)
+            for k, pp in term.terms.items():
+                acc(total, k, pp)
     return LambdaPoly(total)
 
 
@@ -213,13 +144,15 @@ def bracket_recursive(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     for fm, fc in f.terms.items():
         for gm, gc in g.terms.items():
             t = _mono_bracket(fm, gm, ctx).scale(fc * gc)
-            for k, p in t.coeffs.items():
-                _acc(out, k, p)
+            for k, p in t.terms.items():
+                acc(out, k, p)
     return LambdaPoly(out)
 
 
 def nth_product(f: DiffPoly, g: DiffPoly, n: int, ctx: AlgebraCtx) -> DiffPoly:
     """n! times the lambda^n coefficient of the bracket."""
+    if n < 0:
+        raise DomainError("product index must be non-negative, got %d" % n)
     return bracket_master(f, g, ctx).coeff(n) * factorial(n)
 
 
@@ -238,21 +171,21 @@ def jacobi_defect(a: DiffPoly, b: DiffPoly, c: DiffPoly, ctx: AlgebraCtx) -> BiL
     """
     out: dict = {}
     inner = bracket_master(b, c, ctx)
-    for j, w in inner.coeffs.items():
+    for j, w in inner.terms.items():
         outer = bracket_master(a, w, ctx)
-        for i, v in outer.coeffs.items():
-            _acc(out, (i, j), v)
+        for i, v in outer.terms.items():
+            acc(out, (i, j), v)
     inner = bracket_master(a, c, ctx)
-    for i, v in inner.coeffs.items():
+    for i, v in inner.terms.items():
         outer = bracket_master(b, v, ctx)
-        for j, w in outer.coeffs.items():
-            _acc(out, (i, j), -w)
+        for j, w in outer.terms.items():
+            acc(out, (i, j), -w)
     ab = bracket_master(a, b, ctx)
-    for k, v in ab.coeffs.items():
+    for k, v in ab.terms.items():
         q = bracket_master(v, c, ctx)
-        for l, w in q.coeffs.items():
+        for l, w in q.terms.items():
             for r in range(l + 1):
-                _acc(out, (k + r, l - r), w * (-comb(l, r)))
+                acc(out, (k + r, l - r), w * (-comb(l, r)))
     return BiLambdaPoly(out)
 
 
@@ -296,8 +229,8 @@ def hbar_bracket(a: DiffPoly, b: DiffPoly, ctx: AlgebraCtx) -> dict[int, DiffPol
     out: dict = {}
     for delta, terms in sorted(by_weight.items()):
         br = bracket_master(DiffPoly(terms), b, ctx)
-        for j, p in br.coeffs.items():
+        for j, p in br.terms.items():
             coef = binom_int(delta - 1, j) * factorial(j)
             if coef:
-                _acc(out, j, p * coef)
-    return out
+                acc(out, j, p * coef)
+    return {j: p for j, p in out.items() if p}

@@ -64,8 +64,8 @@ def _diffpoly_payload(f: DiffPoly) -> dict:
 
 def _lambdapoly_payload(P: LambdaPoly) -> dict:
     return {"type": "lambdapoly",
-            "terms": [{"lam": k, "coeff": _diffpoly_payload(P.coeffs[k])["terms"]}
-                      for k in sorted(P.coeffs)]}
+            "terms": [{"lam": k, "coeff": _diffpoly_payload(P.terms[k])["terms"]}
+                      for k in sorted(P.terms)]}
 
 
 def _k0_payload(e: K0SigmaElem) -> dict:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .sparse import Sparse
+
 
 @dataclass(frozen=True)
 class AlgebraCtx:
@@ -49,7 +51,7 @@ def conformal_weight(m) -> int:
     return sum(k + 2 for k in m)
 
 
-class DiffPoly:
+class DiffPoly(Sparse):
     """Sparse integer polynomial in the generators dkL.
 
     terms maps canonical monomial tuples to nonzero int coefficients.
@@ -57,14 +59,8 @@ class DiffPoly:
     value.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "DiffPoly":
-        return cls()
+    __slots__ = ()
+    key_mul = staticmethod(mono_mul)
 
     @classmethod
     def one(cls) -> "DiffPoly":
@@ -83,49 +79,10 @@ class DiffPoly:
     def monomial(cls, orders, coeff: int = 1) -> "DiffPoly":
         return cls({mono(orders): int(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == ({(): other} if other else {})
-        return isinstance(other, DiffPoly) and self.terms == other.terms
-
-    def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return DiffPoly(out)
-
-    def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return DiffPoly({m: c * other for m, c in self.terms.items()})
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = mono_mul(m1, m2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return DiffPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        return super().__eq__(other)
 
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:
@@ -146,11 +103,7 @@ class DiffPoly:
                     j += 1
                 count = j - i
                 newm = m[:i] + (m[i] + 1,) + m[i + 1:]
-                s = out.get(newm, 0) + c * count
-                if s:
-                    out[newm] = s
-                elif newm in out:
-                    del out[newm]
+                out[newm] = out.get(newm, 0) + c * count
                 i = j
         return DiffPoly(out)
 
@@ -163,11 +116,7 @@ class DiffPoly:
             if count:
                 idx = m.index(k)
                 newm = m[:idx] + m[idx + 1:]
-                s = out.get(newm, 0) + c * count
-                if s:
-                    out[newm] = s
-                elif newm in out:
-                    del out[newm]
+                out[newm] = out.get(newm, 0) + c * count
         return DiffPoly(out)
 
     def orders_present(self) -> set[int]:

@@ -11,10 +11,12 @@ renormalized through the relation D x = x D + 1.
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import add
 
 from .diffpoly import AlgebraCtx, DiffPoly
 from .errors import DomainError
 from .k0sigma import K0SigmaElem
+from .sparse import Sparse
 
 
 def _falling(n: int, k: int) -> int:
@@ -24,52 +26,17 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-class _IntBasisElem:
+class _IntBasisElem(Sparse):
     """Integer combination over a basis indexed by non-negative integers."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     label = "?"
-
-    def __init__(self, terms=None):
-        self.terms = {int(n): c for n, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def basis(cls, n: int):
         if n < 0:
             raise ValueError("basis index must be non-negative, got %d" % n)
         return cls({n: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            s = out.get(n, 0) + c
-            if s:
-                out[n] = s
-            elif n in out:
-                del out[n]
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)({n: -c for n, c in self.terms.items()})
-
-    def scale(self, k: int):
-        return type(self)({n: c * k for n, c in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
@@ -86,21 +53,7 @@ class K0NElem(_IntBasisElem):
     """Combination of projective classes [N_n]; [N_0] is the product unit."""
 
     label = "N"
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        out: dict = {}
-        for n, c in self.terms.items():
-            for m, d in other.terms.items():
-                s = out.get(n + m, 0) + c * d
-                if s:
-                    out[n + m] = s
-                elif n + m in out:
-                    del out[n + m]
-        return K0NElem(out)
-
-    __rmul__ = __mul__
+    key_mul = staticmethod(add)
 
 
 class G0NElem(_IntBasisElem):
@@ -115,14 +68,8 @@ class G0NElem(_IntBasisElem):
         out: dict = {}
         for n, c in self.terms.items():
             for m, d in other.terms.items():
-                s = out.get(n + m, 0) + c * d * comb(n + m, n)
-                if s:
-                    out[n + m] = s
-                elif n + m in out:
-                    del out[n + m]
+                out[n + m] = out.get(n + m, 0) + c * d * comb(n + m, n)
         return G0NElem(out)
-
-    __rmul__ = __mul__
 
 
 def ind_k0n(e: K0NElem) -> K0NElem:
@@ -145,17 +92,11 @@ def res_g0n(e: G0NElem) -> G0NElem:
     return G0NElem({n - 1: c for n, c in e.terms.items() if n > 0})
 
 
-class XPoly:
+class XPoly(Sparse):
     """Sparse integer polynomial in one variable x."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {int(n): c for n, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "XPoly":
-        return cls()
+    __slots__ = ()
+    key_mul = staticmethod(add)
 
     @classmethod
     def one(cls) -> "XPoly":
@@ -169,47 +110,10 @@ class XPoly:
     def monomial(cls, n: int, c: int = 1) -> "XPoly":
         return cls({n: c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == ({0: other} if other else {})
-        return isinstance(other, XPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            s = out.get(n, 0) + c
-            if s:
-                out[n] = s
-            elif n in out:
-                del out[n]
-        return XPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return XPoly({n: -c for n, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return XPoly({n: c * other for n, c in self.terms.items()})
-        out: dict = {}
-        for n, c in self.terms.items():
-            for m, d in other.terms.items():
-                s = out.get(n + m, 0) + c * d
-                if s:
-                    out[n + m] = s
-                elif n + m in out:
-                    del out[n + m]
-        return XPoly(out)
-
-    __rmul__ = __mul__
+        return super().__eq__(other)
 
     def derivative(self) -> "XPoly":
         return XPoly({n - 1: c * n for n, c in self.terms.items() if n > 0})
@@ -234,17 +138,10 @@ def phi_n_inv(p: XPoly) -> K0NElem:
     return K0NElem(dict(p.terms))
 
 
-class WeylElem:
+class WeylElem(Sparse):
     """Normally ordered integer combination of x^a D^b."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {(a, b): c for (a, b), c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "WeylElem":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "WeylElem":
@@ -256,49 +153,18 @@ class WeylElem:
             raise ValueError("negative exponent in a Weyl monomial")
         return cls({(a, b): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElem) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return WeylElem(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WeylElem({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         """Product with renormalization: every D walking past an x leaves
         a lower-order correction term behind."""
         if isinstance(other, int):
-            return WeylElem({k: c * other for k, c in self.terms.items()})
+            return self.scale(other)
         out: dict = {}
         for (a, b), c1 in self.terms.items():
             for (e, f), c2 in other.terms.items():
                 for k in range(min(b, e) + 1):
                     key = (a + e - k, b + f - k)
-                    s = out.get(key, 0) + c1 * c2 * comb(b, k) * _falling(e, k)
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    out[key] = out.get(key, 0) + c1 * c2 * comb(b, k) * _falling(e, k)
         return WeylElem(out)
-
-    __rmul__ = __mul__
 
     def apply(self, p: XPoly) -> XPoly:
         """Act on a polynomial: x multiplies, D differentiates."""
@@ -307,11 +173,7 @@ class WeylElem:
             for n, cn in p.terms.items():
                 if b <= n:
                     key = n - b + a
-                    s = out.get(key, 0) + c * cn * _falling(n, b)
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    out[key] = out.get(key, 0) + c * cn * _falling(n, b)
         return XPoly(out)
 
     def sorted_terms(self):
@@ -325,21 +187,15 @@ class WeylElem:
     __repr__ = __str__
 
 
-class IndResExpr:
+class IndResExpr(Sparse):
     """Integer combination of formal words in the letters Ind and Res.
 
     Words are tuples over {'I', 'R'}, leftmost letter acting last; the
     substitution Ind -> x, Res -> D lands in the Weyl algebra.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {tuple(w): c for w, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "IndResExpr":
-        return cls()
+    __slots__ = ()
+    key_mul = staticmethod(add)
 
     @classmethod
     def word(cls, letters, coeff: int = 1) -> "IndResExpr":
@@ -351,41 +207,6 @@ class IndResExpr:
     @classmethod
     def identity(cls) -> "IndResExpr":
         return cls({(): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, IndResExpr) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return IndResExpr(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IndResExpr({w: c * other for w, c in self.terms.items()})
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = w1 + w2
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return IndResExpr(out)
-
-    __rmul__ = __mul__
 
     def to_weyl(self) -> WeylElem:
         """Substitute x for Ind and D for Res, normalizing the product."""

@@ -1,0 +1,82 @@
+"""Finite integer combinations over a hashable basis.
+
+Every algebra element type in the package is one of these: a dict from
+basis keys to nonzero coefficients, where a coefficient is an int or
+itself a Sparse value (lambda polynomials carry DiffPoly coefficients).
+The constructor drops zero coefficients, so accumulation loops never
+have to.
+"""
+
+from __future__ import annotations
+
+
+def acc(d: dict, k, c) -> None:
+    """d[k] += c for an int or Sparse coefficient c.  A sum that cancels
+    to zero stays in d; the constructor reading d drops it."""
+    if not c:
+        return
+    cur = d.get(k)
+    d[k] = c if cur is None else cur + c
+
+
+class Sparse:
+    """Immutable finite combination: terms maps keys to nonzero coefficients.
+
+    Subclasses with a multiplicative basis set key_mul to the product of
+    two keys and get the bilinear product; the others have no product.
+    """
+
+    __slots__ = ("terms",)
+    key_mul = None
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        # acc inlined: this loop is the hot path of polynomial sums, and
+        # other's coefficients are nonzero already.
+        out = dict(self.terms)
+        get = out.get
+        for k, c in other.terms.items():
+            cur = get(k)
+            out[k] = c if cur is None else cur + c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, f):
+        """Multiply every coefficient by f (an int, or a coefficient value)."""
+        return type(self)({k: c * f for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        key_mul = self.key_mul
+        if key_mul is None:
+            return NotImplemented
+        if isinstance(other, int):
+            return self.scale(other)
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return type(self)(out)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)

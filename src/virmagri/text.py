@@ -246,7 +246,7 @@ def _format_lambda_terms(coeffs: dict, fmt) -> str:
 
 
 def format_lambdapoly(P: LambdaPoly) -> str:
-    return _format_lambda_terms(P.coeffs, format_diffpoly)
+    return _format_lambda_terms(P.terms, format_diffpoly)
 
 
 # -------------------------------------------------------------- partition

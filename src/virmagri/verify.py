@@ -29,6 +29,7 @@ from .k0sigma import (
     ind,
     lambda_bracket_k0,
     nabla,
+    p_i_ind,
     phi_sigma,
     phi_sigma_inv,
     pj_ind,
@@ -388,7 +389,7 @@ def _check_hamiltonian(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     for a in monos:
         for b in monos:
             br = bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), ctx)
-            for n in sorted(br.coeffs):
+            for n in sorted(br.terms):
                 d = hamiltonian_defect(a, b, n, ctx)
                 rep.record("hamiltonian", "a=%s, b=%s, n=%d" % (_fmt_mono(a), _fmt_mono(b), n),
                            d.is_zero(), d, "0")
@@ -419,9 +420,9 @@ def _check_integrality(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     for i in range(40):
         f, g = _rand_poly(rng, bounds.deg(8)), _rand_poly(rng, bounds.deg(8))
         br = bracket_master(f, g, ctx)
-        ok = all(isinstance(c, int) for p in br.coeffs.values() for c in p.terms.values())
+        ok = all(isinstance(c, int) for p in br.terms.values() for c in p.terms.values())
         rep.record("integrality", "case %d" % i, ok, br, "integer coefficients")
-        for n in sorted(br.coeffs):
+        for n in sorted(br.terms):
             got = nth_product(f, g, n, ctx)
             want = br.coeff(n) * factorial(n)
             rep.record("nth-product-consistency", "case %d, n=%d" % (i, n), got == want, got, want)
@@ -451,9 +452,14 @@ def _check_pjind_diagram(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     for p in partitions_upto(bounds.n(10)):
         e = K0SigmaElem.basis(p)
         for j in range(1, bounds.j(5) + 1):
-            lhs = phi_sigma(pj_ind(e, j))
+            by_row = pj_ind(e, j)
+            by_cols = e
+            for i in range(1, j + 1):
+                by_cols = p_i_ind(by_cols, i)
+            lhs = phi_sigma(by_row)
             rhs = DiffPoly.gen(j - 1) * phi_sigma(e)
-            rep.record("pjind-diagram", "p=%s, j=%d" % (p, j), lhs == rhs, lhs, rhs)
+            rep.record("pjind-diagram", "p=%s, j=%d" % (p, j), lhs == rhs and by_cols == by_row,
+                       lhs, rhs)
     return rep
 
 
@@ -542,7 +548,7 @@ def _check_k0_bracket_transport(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
             ea, eb = K0SigmaElem.basis(a), K0SigmaElem.basis(b)
             got = lambda_bracket_k0(ea, eb, ctx)
             want = bracket_master(phi_sigma(ea), phi_sigma(eb), ctx)
-            ok = (sorted(got) == sorted(want.coeffs)
+            ok = (sorted(got) == sorted(want.terms)
                   and all(phi_sigma(got[k]) == want.coeff(k) for k in got))
             rep.record("k0-bracket-transport", "a=%s, b=%s" % (a, b), ok,
                        "transported bracket", want)

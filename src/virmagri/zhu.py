@@ -22,11 +22,7 @@ def zhu_h(f: DiffPoly) -> XPoly:
     for m, c in f.terms.items():
         if all(k == 0 for k in m):
             n = len(m)
-            s = out.get(n, 0) + c
-            if s:
-                out[n] = s
-            elif n in out:
-                del out[n]
+            out[n] = out.get(n, 0) + c
     return XPoly(out)
 
 
@@ -36,11 +32,7 @@ def q_map(f: DiffPoly) -> XPoly:
     for m, c in f.terms.items():
         if all(k <= 1 for k in m):
             n = sum(1 for k in m if k == 0)
-            s = out.get(n, 0) + c
-            if s:
-                out[n] = s
-            elif n in out:
-                del out[n]
+            out[n] = out.get(n, 0) + c
     return XPoly(out)
 
 

@@ -16,7 +16,6 @@ from virmagri import (
     hbar_bracket,
     jacobi_defect,
     nth_product,
-    shift_apply,
     skew_defect,
 )
 
@@ -38,10 +37,10 @@ def test_gen_bracket_known_values():
 
 def test_shift_apply_known_values():
     base = LambdaPoly.of(L)
-    assert shift_apply(base, 1, 1) == LambdaPoly({0: dL, 1: L})
-    assert shift_apply(base, 0, 1) == base
-    assert shift_apply(base, 0, -1) == base
-    assert shift_apply(base, 2, -1) == LambdaPoly({0: d2L, 1: 2 * dL, 2: L})
+    assert base.shift_apply(1, 1) == LambdaPoly({0: dL, 1: L})
+    assert base.shift_apply(0, 1) == base
+    assert base.shift_apply(0, -1) == base
+    assert base.shift_apply(2, -1) == LambdaPoly({0: d2L, 1: 2 * dL, 2: L})
 
 
 def test_lambda_shift_signs():
@@ -187,7 +186,7 @@ def test_all_bracket_coefficients_are_integers():
     f = 3 * DiffPoly.monomial((2, 1, 0)) - DiffPoly.monomial((1, 1))
     g = DiffPoly.monomial((3,)) + 2 * DiffPoly.monomial((0, 0))
     br = bracket_master(f, g, CM2)
-    for p in br.coeffs.values():
+    for p in br.terms.values():
         assert all(isinstance(c, int) for c in p.terms.values())
 
 

@@ -42,6 +42,13 @@ def test_pjind(capsys):
     assert out == "[5,4,2,1]"
 
 
+def test_nprod_negative_order_is_domain_error(capsys):
+    code, out, err = run(capsys, "nprod", "L", "L", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:")
+
+
 def test_assorted_verbs(capsys):
     assert run(capsys, "nprod", "L", "L", "1") == (0, "2 L", "")
     assert run(capsys, "mul", "L", "d1L")[1] == "d1L L"

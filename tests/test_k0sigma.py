@@ -34,6 +34,15 @@ def test_phi_sigma_known_values():
     assert phi_sigma(e) == 3 * DiffPoly.monomial((2, 0, 0)) - DiffPoly.gen(1)
 
 
+@given(st.dictionaries(partition_st(7), st.integers(-5, 5), max_size=4), st.integers(1, 5))
+def test_pj_ind_equals_column_step_composition(terms, j):
+    e = K0SigmaElem(terms)
+    composition = e
+    for i in range(1, j + 1):
+        composition = p_i_ind(composition, i)
+    assert pj_ind(e, j) == composition
+
+
 @given(partition_st(10))
 def test_phi_roundtrip_on_classes(p):
     e = K0SigmaElem.basis(p)
@@ -145,7 +154,7 @@ def test_bracket_transport_consistency(a, b):
     ea, eb = K0SigmaElem.basis(a), K0SigmaElem.basis(b)
     got = lambda_bracket_k0(ea, eb, C1)
     want = bracket_master(phi_sigma(ea), phi_sigma(eb), C1)
-    assert sorted(got) == sorted(want.coeffs)
+    assert sorted(got) == sorted(want.terms)
     for k, e in got.items():
         assert phi_sigma(e) == want.coeff(k)
 

@@ -1,0 +1,70 @@
+import pytest
+from hypothesis import given, settings
+
+from helpers import diffpoly_st
+from virmagri import (
+    AlgebraCtx,
+    BiLambdaPoly,
+    DiffPoly,
+    G0NElem,
+    IndResExpr,
+    K0NElem,
+    K0SigmaElem,
+    LambdaPoly,
+    Partition,
+    WeylElem,
+    XPoly,
+    hbar_bracket,
+)
+
+L = DiffPoly.gen(0)
+dL = DiffPoly.gen(1)
+
+SAMPLES = [
+    DiffPoly({(1, 0): 3, (): -2}),
+    LambdaPoly({0: L, 2: -3 * dL}),
+    BiLambdaPoly({(0, 1): L, (2, 0): -dL}),
+    K0SigmaElem({Partition((2, 1)): 2, Partition(()): -1}),
+    K0NElem({0: 1, 3: -2}),
+    G0NElem({0: 1, 3: -2}),
+    XPoly({0: 1, 3: -2}),
+    WeylElem({(1, 2): 3, (0, 0): -1}),
+    IndResExpr({("I", "R"): 2, (): -1}),
+]
+
+
+@pytest.mark.parametrize("a", SAMPLES, ids=lambda a: type(a).__name__)
+def test_zero_results_are_empty(a):
+    zero = type(a).zero()
+    assert a and not a.is_zero()
+    d = a - a
+    assert not d and d.terms == {} and d == zero
+    assert a.scale(0).terms == {} and a.scale(0) == zero
+    assert a + zero == a and a - zero == a and -(-a) == a
+    assert type(a)({k: 0 for k in a.terms}).is_zero()
+
+
+@pytest.mark.parametrize("a", [s for s in SAMPLES if isinstance(s, (LambdaPoly, BiLambdaPoly))],
+                         ids=lambda a: type(a).__name__)
+def test_lambda_types_have_no_product(a):
+    with pytest.raises(TypeError):
+        a * a
+    with pytest.raises(TypeError):
+        a * 2
+    with pytest.raises(TypeError):
+        2 * a
+
+
+def test_equality_needs_the_same_type():
+    terms = {0: 1, 3: -2}
+    assert K0NElem(terms) == K0NElem(dict(terms))
+    assert K0NElem(terms) != G0NElem(terms)
+    assert XPoly(terms) != K0NElem(terms)
+    assert K0NElem() != G0NElem()
+
+
+@settings(max_examples=40, deadline=None)
+@given(diffpoly_st(5, 4), diffpoly_st(5, 4))
+def test_hbar_bracket_has_no_zero_coefficients(a, b):
+    for ctx in (AlgebraCtx(0), AlgebraCtx(1)):
+        assert all(hbar_bracket(a, b, ctx).values())
