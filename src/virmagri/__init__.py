@@ -15,6 +15,7 @@ from .brackets import (
     gen_bracket,
     hamiltonian,
     hamiltonian_defect,
+    hamiltonian_defects,
     hbar_bracket,
     jacobi_defect,
     nth_product,

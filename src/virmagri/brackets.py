@@ -41,18 +41,16 @@ class LambdaPoly(Sparse):
         return LambdaPoly({k + m: p * s for k, p in self.terms.items()})
 
     def shift_apply(self, m: int, sign: int = 1) -> "LambdaPoly":
-        """Apply the operator (sign*(lambda + d))^m, the total derivative
-        acting on the stored coefficients."""
-        cur = self
-        for _ in range(m):
-            nxt: dict = {}
-            for k, p in cur.terms.items():
-                acc(nxt, k + 1, p)
-                acc(nxt, k, p.derive())
-            cur = LambdaPoly(nxt)
-        if sign < 0 and m % 2:
-            cur = -cur
-        return cur
+        """Apply (sign*(lambda + d))^m: lambda^j P -> sum_k C(m,k) lambda^(j+m-k) d^k P."""
+        s = -1 if (sign < 0 and m % 2) else 1
+        out: dict = {}
+        for j, p in self.terms.items():
+            for k in range(m + 1):
+                c = s * comb(m, k)
+                acc(out, j + m - k, p if c == 1 else p * c)
+                if k == m or not (p := p.derive()):
+                    break
+        return LambdaPoly(out)
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d (the derivative acting on the
@@ -194,16 +192,29 @@ def hamiltonian(f: DiffPoly) -> DiffPoly:
     return DiffPoly({m: c * conformal_weight(m) for m, c in f.terms.items()})
 
 
-def hamiltonian_defect(fm, gm, n: int, ctx: AlgebraCtx) -> DiffPoly:
-    """H(f_(n)g) minus the weight the grading axiom demands.
+def hamiltonian_defects(fm, gm, ctx: AlgebraCtx) -> dict[int, DiffPoly]:
+    """H(f_(n)g) minus the weight the grading axiom demands, for every
+    lambda power n of the bracket, in ascending n, from one bracket.
 
     fm and gm are monomials (order tuples); both are eigenvectors of the
-    grading operator, so the defect must vanish identically.
+    grading operator, so every defect must vanish identically.
     """
     fm, gm = mono(fm), mono(gm)
-    prod = nth_product(DiffPoly.monomial(fm), DiffPoly.monomial(gm), n, ctx)
-    expected = conformal_weight(fm) + conformal_weight(gm) - (n + 1)
-    return hamiltonian(prod) - prod * expected
+    br = bracket_master(DiffPoly.monomial(fm), DiffPoly.monomial(gm), ctx)
+    weight = conformal_weight(fm) + conformal_weight(gm)
+    out = {}
+    for n in sorted(br.terms):
+        prod = br.terms[n] * factorial(n)
+        out[n] = hamiltonian(prod) - prod * (weight - (n + 1))
+    return out
+
+
+def hamiltonian_defect(fm, gm, n: int, ctx: AlgebraCtx) -> DiffPoly:
+    """The n-th entry of hamiltonian_defects; zero where the bracket has
+    no lambda^n term."""
+    if n < 0:
+        raise DomainError("product index must be non-negative, got %d" % n)
+    return hamiltonian_defects(fm, gm, ctx).get(n, DiffPoly.zero())
 
 
 def binom_int(n: int, k: int) -> int:

@@ -197,8 +197,16 @@ def _run_phi(args, ctx):
     return format_k0sigma(out), _k0_payload(out)
 
 
+# A count squared is at most n! (the squares sum to n!), so up to this many
+# boxes it has at most 3,706 digits, within Python's 4,300-digit str() limit.
+SYT_MAX_BOXES = 2500
+
+
 def _run_count_syt(args, ctx):
-    n = standard_tableaux_count(parse_partition(args.p))
+    p = parse_partition(args.p)
+    if p.size > SYT_MAX_BOXES:
+        raise DomainError("count-syt takes at most %d boxes, got %d" % (SYT_MAX_BOXES, p.size))
+    n = standard_tableaux_count(p)
     return str(n), {"type": "int", "value": n}
 
 
@@ -290,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
 
     p = sub.add_parser("count-syt", parents=[common],
-                       help="count standard fillings of a partition")
+                       help="count standard fillings of a partition "
+                            "(at most %d boxes)" % SYT_MAX_BOXES)
     p.add_argument("p")
 
     p = sub.add_parser("verify", parents=[common], help="run verification sweeps")

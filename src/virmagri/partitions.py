@@ -9,6 +9,7 @@ values are immutable and hashable.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 from .errors import DomainError
 
@@ -119,20 +120,16 @@ class Partition:
         return [(v, c) for v, c in out]
 
 
-@lru_cache(maxsize=None)
-def _syt(parts: tuple[int, ...]) -> int:
-    if not parts:
-        return 1
-    return sum(_syt(q.parts) for q in Partition(parts).removable_results())
-
-
 def standard_tableaux_count(p) -> int:
-    """Number of standard fillings of the diagram of p.
-
-    Computed by the box-removal recursion f(p) = sum of f(q) over all
-    one-box-smaller partitions q, memoized over the whole partition poset.
-    """
-    return _syt(Partition(p).parts)
+    """Number of standard fillings of the diagram of p, by the hook-length
+    formula: n! over the product of the hook lengths of the n boxes."""
+    p = Partition(p)
+    cols = p.conjugate().parts
+    hooks = 1
+    for r, row in enumerate(p.parts):
+        for c in range(row):
+            hooks *= (row - c) + (cols[c] - r) - 1
+    return factorial(p.size) // hooks
 
 
 @lru_cache(maxsize=None)

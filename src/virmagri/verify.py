@@ -18,7 +18,7 @@ from .brackets import (
     bracket_master,
     bracket_recursive,
     gen_bracket,
-    hamiltonian_defect,
+    hamiltonian_defects,
     jacobi_defect,
     nth_product,
     skew_defect,
@@ -355,8 +355,11 @@ def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
                    lhs == rhs, lhs, rhs)
         lhs = bracket_master(fa, fb.derive(), ctx)
         rhs = base.shift_apply(1, 1)
+        # The binomial form of shift_apply must compose like the operator power.
+        composes = all(base.shift_apply(3, s) == base.shift_apply(1, s).shift_apply(2, s)
+                       for s in (1, -1))
         rep.record("sesquilinearity-right", "a=%s, b=%s" % (_fmt_mono(a), _fmt_mono(b)),
-                   lhs == rhs, lhs, rhs)
+                   lhs == rhs and composes, lhs, rhs)
     return rep
 
 
@@ -388,9 +391,7 @@ def _check_hamiltonian(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     monos = _monomials_upto(bounds.deg(6))
     for a in monos:
         for b in monos:
-            br = bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), ctx)
-            for n in sorted(br.terms):
-                d = hamiltonian_defect(a, b, n, ctx)
+            for n, d in hamiltonian_defects(a, b, ctx).items():
                 rep.record("hamiltonian", "a=%s, b=%s, n=%d" % (_fmt_mono(a), _fmt_mono(b), n),
                            d.is_zero(), d, "0")
     return rep

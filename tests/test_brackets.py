@@ -1,21 +1,26 @@
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import diffpoly_st, mono_st
 from virmagri import (
     AlgebraCtx,
     DiffPoly,
+    DomainError,
     LambdaPoly,
     binom_int,
     bracket_master,
     bracket_recursive,
+    conformal_weight,
     gen_bracket,
     hamiltonian,
     hamiltonian_defect,
+    hamiltonian_defects,
     hbar_bracket,
     jacobi_defect,
     nth_product,
+    partitions_upto,
     skew_defect,
 )
 
@@ -41,6 +46,33 @@ def test_shift_apply_known_values():
     assert base.shift_apply(0, 1) == base
     assert base.shift_apply(0, -1) == base
     assert base.shift_apply(2, -1) == LambdaPoly({0: d2L, 1: 2 * dL, 2: L})
+
+
+def stepwise_shift(P: LambdaPoly, m: int, sign: int) -> LambdaPoly:
+    """(sign*(lambda + d))^m as m single steps lambda^k P -> lambda^(k+1) P + lambda^k dP."""
+    for _ in range(m):
+        out = LambdaPoly.zero()
+        for k, p in P.terms.items():
+            out = out + LambdaPoly({k + 1: p}) + LambdaPoly({k: p.derive()})
+        P = out
+    return P.scale(sign**m)
+
+
+@given(st.dictionaries(st.integers(0, 4), diffpoly_st(5), max_size=4),
+       st.integers(0, 10), st.sampled_from([1, -1]))
+def test_shift_apply_matches_stepwise_model(terms, m, sign):
+    P = LambdaPoly(terms)
+    assert P.shift_apply(m, sign) == stepwise_shift(P, m, sign)
+
+
+def test_shift_apply_takes_one_derivative_chain(monkeypatch):
+    calls = []
+    derive = DiffPoly.derive
+    monkeypatch.setattr(DiffPoly, "derive", lambda self: calls.append(1) or derive(self))
+    got = LambdaPoly.of(L).shift_apply(1500, 1)
+    assert len(calls) <= 1500
+    monkeypatch.undo()
+    assert got == LambdaPoly({1500 - k: DiffPoly.gen(k) * comb(1500, k) for k in range(1501)})
 
 
 def test_lambda_shift_signs():
@@ -149,6 +181,24 @@ def test_hamiltonian_defect_vanishes(a, b, n):
         assert hamiltonian_defect(a, b, n, ctx).is_zero()
 
 
+def test_hamiltonian_defects_one_bracket_for_all_n():
+    monos = [tuple(v - 1 for v in p.parts) for p in partitions_upto(4)]
+    for ctx in CHARGES:
+        for a in monos:
+            for b in monos:
+                fa, fb = DiffPoly.monomial(a), DiffPoly.monomial(b)
+                got = hamiltonian_defects(a, b, ctx)
+                assert list(got) == sorted(bracket_master(fa, fb, ctx).terms)
+                weight = conformal_weight(a) + conformal_weight(b)
+                for n, d in got.items():
+                    prod = nth_product(fa, fb, n, ctx)
+                    assert d == hamiltonian(prod) - prod * (weight - n - 1)
+                    assert d == hamiltonian_defect(a, b, n, ctx)
+                assert hamiltonian_defect(a, b, max(got, default=0) + 1, ctx).is_zero()
+    with pytest.raises(DomainError):
+        hamiltonian_defect((0,), (0,), -1, C1)
+
+
 def test_hbar_known_values():
     got = hbar_bracket(L, L, C1)
     assert got == {0: dL, 1: 2 * L}  # the central term is killed by C(1,3)=0
@@ -160,8 +210,6 @@ def test_hbar_known_values():
 @given(mono_st(4), diffpoly_st(4))
 @settings(max_examples=30)
 def test_hbar_matches_weighted_products(a, b):
-    from virmagri import conformal_weight
-
     fa = DiffPoly.monomial(a)
     delta = conformal_weight(a)
     got = hbar_bracket(fa, b, C1)

@@ -1,7 +1,8 @@
 import json
 
+from helpers import syt_by_hooks
 from virmagri import DiffPoly, WeylElem, XPoly
-from virmagri.cli import main
+from virmagri.cli import SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
     parse_diffpoly,
@@ -47,6 +48,16 @@ def test_nprod_negative_order_is_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("domain error:")
+
+
+def test_count_syt_large_shapes(capsys):
+    assert run(capsys, "count-syt", "[600,600]") == (0, str(syt_by_hooks((600, 600))), "")
+    assert run(capsys, "count-syt", "[%d]" % SYT_MAX_BOXES) == (0, "1", "")
+    for shape in ("[%d]" % (SYT_MAX_BOXES + 1), "[12000,12000]"):
+        code, out, err = run(capsys, "count-syt", shape, "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error:")
 
 
 def test_assorted_verbs(capsys):

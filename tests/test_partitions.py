@@ -126,11 +126,13 @@ def test_tableaux_count_known_values():
 
 
 def test_tableaux_count_three_routes_agree():
-    # removal recursion vs direct filling enumeration vs hook products
+    # hook-length formula vs direct filling enumeration vs the box-removal recursion
     for p in partitions_upto(7):
         got = standard_tableaux_count(p)
         assert got == syt_by_fillings(p)
         assert got == syt_by_hooks(p)
+        if p.size:
+            assert got == sum(standard_tableaux_count(q) for q in p.removable_results())
 
 
 def test_tableaux_count_hooks_to_twelve():
