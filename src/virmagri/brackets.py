@@ -7,10 +7,11 @@ arithmetic.
 
 Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
-bracket.  bracket_recursive reduces arguments step by step through
-sesquilinearity, skew-symmetry and the product rule, bottoming out at
-the generator bracket.  They must agree everywhere; the verification
-suites compare them case by case.
+bracket, summing the f side over its derivative orders first so that
+each (lambda+d)^n of the g side runs once.  bracket_recursive reduces
+arguments step by step through sesquilinearity, skew-symmetry and the
+product rule, bottoming out at the generator bracket.  They must agree
+everywhere; the verification suites compare them case by case.
 """
 
 from __future__ import annotations
@@ -89,28 +90,25 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     """Closed-form bracket of two differential polynomials.
 
-    For every pair of derivative orders (m, n) present: take the partial
-    of f at order m, push it through (-lambda-d)^m, hit it with the
-    right-acting shifted generator bracket, apply (lambda+d)^n, and
+    Everything right of the partial of g is linear in the f side, so the
+    sum over the derivative orders m of f is taken first: push the
+    partial of f at each order m through (-lambda-d)^m and add.  That
+    one sum is hit with the right-acting shifted generator bracket once;
+    then, for each derivative order n of g, apply (lambda+d)^n and
     multiply by the partial of g at order n.
     """
-    gb = gen_bracket(ctx)
-    total: dict = {}
+    base: dict = {}
     for m in sorted(f.orders_present()):
-        fm = f.partial_wrt(m)
-        if fm.is_zero():
-            continue
-        base = LambdaPoly.of(fm).shift_apply(m, -1)
-        mid = LambdaPoly.zero()
-        for p, v in gb.terms.items():
-            mid = mid + base.shift_apply(p, 1).scale(v)
-        for n in sorted(g.orders_present()):
-            gn = g.partial_wrt(n)
-            if gn.is_zero():
-                continue
-            term = mid.shift_apply(n, 1).scale(gn)
-            for k, pp in term.terms.items():
-                acc(total, k, pp)
+        for k, p in LambdaPoly.of(f.partial_wrt(m)).shift_apply(m, -1).terms.items():
+            acc(base, k, p)
+    base = LambdaPoly(base)
+    mid = LambdaPoly.zero()
+    for p, v in gen_bracket(ctx).terms.items():
+        mid = mid + base.shift_apply(p, 1).scale(v)
+    total: dict = {}
+    for n in sorted(g.orders_present()):
+        for k, pp in mid.shift_apply(n, 1).scale(g.partial_wrt(n)).terms.items():
+            acc(total, k, pp)
     return LambdaPoly(total)
 
 
@@ -151,7 +149,9 @@ def nth_product(f: DiffPoly, g: DiffPoly, n: int, ctx: AlgebraCtx) -> DiffPoly:
     """n! times the lambda^n coefficient of the bracket."""
     if n < 0:
         raise DomainError("product index must be non-negative, got %d" % n)
-    return bracket_master(f, g, ctx).coeff(n) * factorial(n)
+    p = bracket_master(f, g, ctx).coeff(n)
+    # n! only where it multiplies something: n may be far past the top power.
+    return p * factorial(n) if p else p
 
 
 def skew_defect(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:

@@ -96,16 +96,35 @@ def _weyl_payload(w: WeylElem) -> dict:
 
 # ---------------------------------------------------------------- verbs
 
+# An operand of derivative order n puts the binomials C(n, k) into the
+# bracket through (lambda+d)^n.  Up to this order each has at most 902
+# digits, well inside Python's 4,300-digit str() limit.  The bracket of
+# L with d3000L takes about 1.5 s on a 2-core x86 host, and the time
+# grows faster than the square of the order: d7000L takes 12 s.
+MAX_ORDER = 3000
+
+
+def _bounded(f: DiffPoly) -> DiffPoly:
+    top = max(f.orders_present(), default=0)
+    if top > MAX_ORDER:
+        raise DomainError("derivative orders are at most %d here, got d%dL" % (MAX_ORDER, top))
+    return f
+
+
 def _run_bracket(args, ctx):
     if _operand_kind(args.a) == "k0" and _operand_kind(args.b) == "k0":
-        coeffs = lambda_bracket_k0(parse_k0sigma(args.a), parse_k0sigma(args.b), ctx)
+        a, b = parse_k0sigma(args.a), parse_k0sigma(args.b)
+        for e in (a, b):
+            _bounded(phi_sigma(e))
+        coeffs = lambda_bracket_k0(a, b, ctx)
         return format_k0lambda(coeffs), _k0lambda_payload(coeffs)
-    br = bracket_master(parse_diffpoly(args.a), parse_diffpoly(args.b), ctx)
+    br = bracket_master(_bounded(parse_diffpoly(args.a)), _bounded(parse_diffpoly(args.b)), ctx)
     return format_lambdapoly(br), _lambdapoly_payload(br)
 
 
 def _run_nprod(args, ctx):
-    out = nth_product(parse_diffpoly(args.a), parse_diffpoly(args.b), args.n, ctx)
+    out = nth_product(_bounded(parse_diffpoly(args.a)), _bounded(parse_diffpoly(args.b)),
+                      args.n, ctx)
     return format_diffpoly(out), _diffpoly_payload(out)
 
 
@@ -254,11 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("bracket", parents=[common],
-                       help="lambda bracket of two operands")
+                       help="lambda bracket of two operands "
+                            "(derivative orders at most %d)" % MAX_ORDER)
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("nprod", parents=[common], help="n-th product of two polynomials")
+    p = sub.add_parser("nprod", parents=[common],
+                       help="n-th product of two polynomials "
+                            "(derivative orders at most %d)" % MAX_ORDER)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("n", type=int)
@@ -321,17 +343,23 @@ def main(argv=None) -> int:
     ctx = AlgebraCtx(args.charge)
     try:
         result = _HANDLERS[args.verb](args, ctx)
+        text, payload, code = result if len(result) == 3 else (*result, 0)
+        if args.format == "json":
+            text = json.dumps({"verb": args.verb, "charge": args.charge, "result": payload})
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
     except DomainError as e:
         print("domain error: %s" % e, file=sys.stderr)
         return 3
-    text, payload, code = result if len(result) == 3 else (*result, 0)
-    if args.format == "json":
-        print(json.dumps({"verb": args.verb, "charge": args.charge, "result": payload}))
-    else:
-        print(text)
+    except ValueError as e:
+        # str() of an int past sys.get_int_max_str_digits() raises a bare ValueError.
+        if "integer string conversion" not in str(e):
+            raise
+        print("domain error: the result has an integer of more than %d digits"
+              % sys.get_int_max_str_digits(), file=sys.stderr)
+        return 3
+    print(text)
     return code
 
 

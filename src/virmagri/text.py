@@ -18,6 +18,8 @@ first offending token.
 
 from __future__ import annotations
 
+import sys
+
 from .brackets import LambdaPoly
 from .diffpoly import DiffPoly, mono
 from .errors import ParseError
@@ -59,6 +61,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             return None
+        limit = sys.get_int_max_str_digits()  # 0 means no limit
+        if limit and self.pos - start > limit:
+            self.pos = start
+            self.error("integer literal of more than %d digits" % limit)
         return int(self.text[start:self.pos])
 
     def take_word(self, word: str) -> bool:

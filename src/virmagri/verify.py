@@ -355,11 +355,14 @@ def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
                    lhs == rhs, lhs, rhs)
         lhs = bracket_master(fa, fb.derive(), ctx)
         rhs = base.shift_apply(1, 1)
-        # The binomial form of shift_apply must compose like the operator power.
-        composes = all(base.shift_apply(3, s) == base.shift_apply(1, s).shift_apply(2, s)
-                       for s in (1, -1))
+        # The binomial form of shift_apply must compose like the operator
+        # power; a failure records the sides of whichever check failed.
+        for s in (1, -1):
+            if lhs != rhs:
+                break
+            lhs, rhs = base.shift_apply(3, s), base.shift_apply(1, s).shift_apply(2, s)
         rep.record("sesquilinearity-right", "a=%s, b=%s" % (_fmt_mono(a), _fmt_mono(b)),
-                   lhs == rhs and composes, lhs, rhs)
+                   lhs == rhs, lhs, rhs)
     return rep
 
 
@@ -459,8 +462,9 @@ def _check_pjind_diagram(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
                 by_cols = p_i_ind(by_cols, i)
             lhs = phi_sigma(by_row)
             rhs = DiffPoly.gen(j - 1) * phi_sigma(e)
-            rep.record("pjind-diagram", "p=%s, j=%d" % (p, j), lhs == rhs and by_cols == by_row,
-                       lhs, rhs)
+            if lhs == rhs:
+                lhs, rhs = by_row, by_cols
+            rep.record("pjind-diagram", "p=%s, j=%d" % (p, j), lhs == rhs, lhs, rhs)
     return rep
 
 

@@ -1,8 +1,9 @@
 import json
+import time
 
 from helpers import syt_by_hooks
 from virmagri import DiffPoly, WeylElem, XPoly
-from virmagri.cli import SYT_MAX_BOXES, main
+from virmagri.cli import MAX_ORDER, SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
     parse_diffpoly,
@@ -58,6 +59,39 @@ def test_count_syt_large_shapes(capsys):
         assert code == 3
         assert out == ""
         assert err.startswith("domain error:")
+
+
+def test_bracket_huge_derivative_order_is_refused_fast(capsys):
+    for argv in (("bracket", "L", "d15000L"), ("nprod", "d15000L", "L", "1"),
+                 ("bracket", "[15000]", "[1]"), ("bracket", "L", "d%dL" % (MAX_ORDER + 1))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error:") and "Traceback" not in err
+
+
+def test_bracket_large_derivative_order_still_computes(capsys):
+    code, out, err = run(capsys, "bracket", "L", "d1500L")
+    assert (code, err) == (0, "")
+    assert out.startswith("(d1501L) + (") and out.endswith("(2 L)*lam^1501")
+
+
+def test_results_too_long_to_print_are_domain_errors(capsys):
+    # 6c has 4,301 digits; so does the square of a 2,151-digit coefficient.
+    big = "9" * 2151 + " L"
+    for argv in (("nprod", "L", "L", "3", "--charge", "9" * 4300),
+                 ("mul", big, big), ("mul", big, big, "--format", "json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error:") and "4300 digits" in err
+    code, out, err = run(capsys, "mul", "9" * 4301 + " L", "L")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "position 0" in err
+
+
+def test_nprod_past_the_top_power_is_zero(capsys):
+    assert run(capsys, "nprod", "L", "L", str(10 ** 15)) == (0, "0", "")
 
 
 def test_assorted_verbs(capsys):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from virmagri.diffpoly import AlgebraCtx
+from virmagri import verify
+from virmagri.brackets import LambdaPoly
+from virmagri.diffpoly import AlgebraCtx, DiffPoly
 from virmagri.verify import CHECKS, GROUP_OF, Bounds, group_names, resolve_suite, run_suite, suite_names
 
 SMALL = Bounds(max_n=4, max_j=2, max_deg=3)
@@ -50,3 +52,31 @@ def test_run_suite_merges_and_serializes():
     blob = json.dumps(rep.to_jsonable())
     data = json.loads(blob)
     assert data["ok"] is True and data["records"] == []
+
+
+def _folded_failures(name, identity):
+    rep = CHECKS[name](SMALL, AlgebraCtx(0))
+    failures = [r for r in rep.failures() if r.identity == identity]
+    assert failures
+    return failures
+
+
+def test_sesquilinearity_failure_shows_the_composition_sides(monkeypatch):
+    # Wrong only for (-(lambda+d))^3: at these bounds the first check of
+    # sesquilinearity-right never uses it, only the folded composition does.
+    shift_apply = LambdaPoly.shift_apply
+
+    def broken(self, m, sign=1):
+        out = shift_apply(self, m, sign)
+        return out + LambdaPoly.of(DiffPoly.one()) if (m, sign) == (3, -1) else out
+
+    monkeypatch.setattr(LambdaPoly, "shift_apply", broken)
+    for r in _folded_failures("sesquilinearity", "sesquilinearity-right"):
+        assert r.lhs != r.rhs
+
+
+def test_pjind_failure_shows_the_column_composition_sides(monkeypatch):
+    p_i_ind = verify.p_i_ind
+    monkeypatch.setattr(verify, "p_i_ind", lambda e, i: p_i_ind(e, i).scale(2))
+    for r in _folded_failures("pjind-diagram", "pjind-diagram"):
+        assert r.lhs != r.rhs
