@@ -1,14 +1,22 @@
 """Text forms for every value the engine prints, and their parsers.
 
-Grammar summary:
+Every form but the partition literal is a signed sum of terms
+``[coeff[*]] key``; the forms differ only in their key:
 
-  differential polynomials   3 d1L^2 L - 2 d3L   |  1  |  0
-  lambda polynomials         (d1L) + (2 L)*lam + (-2)*lam^3  |  0
-  partitions                 [5,2,1]  |  []
-  class combinations         2*[3,1] - [2,2]  |  0
-  nil-Coxeter classes        3*[N2] - [N0]  |  [L4]  |  0
-  x polynomials              x^2 + 1  |  2 x  |  0
-  Weyl elements              x^6 D^2 + 3 x^5 D + 2  |  0
+  differential polynomials   3 d1L^2 L - 2 d3L | 1 | 0       factors L, dkL, each with ^e
+  lambda polynomials         (d1L) + (2 L)*lam + (-2)*lam^3   (coefficient)*lam^k, no coeff
+  partitions                 [5,2,1] | []
+  class combinations         2*[3,1] - [2,2] | 0             a partition literal
+  nil-Coxeter classes        3*[N2] - [N0] | [L4] | 0        [Nn] or [Ln], kinds not mixed
+  x polynomials              x^2 + 1 | 2 x | 0               x^n
+  Weyl elements              x^6 D^2 + 3 x^5 D + 2 | 0       x^a D^b
+
+One loop (_parse_sum) reads every sum and one formatter (_format_sum)
+prints it.  Where a key may be empty (polynomials, x, Weyl) a coefficient
+without '*' is a constant term; a '*' must be followed by a key.  A lambda
+coefficient is itself a differential-polynomial or class-combination sum
+in parentheses.  A bare 0 is the zero value in every form, inside the
+parentheses too.
 
 Formatters emit canonical order (monomial factors in weakly decreasing
 derivative order, lambda powers ascending, everything else by degree);
@@ -19,13 +27,24 @@ first offending token.
 from __future__ import annotations
 
 import sys
+from itertools import groupby
 
 from .brackets import LambdaPoly
 from .diffpoly import DiffPoly, mono
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .k0sigma import K0SigmaElem
 from .nilcoxeter import G0NElem, K0NElem, WeylElem, XPoly
 from .partitions import Partition
+from .sparse import acc
+
+# A monomial is stored as a tuple with one entry per factor, so the ten
+# characters "L^99999999" would ask for 10^8 entries.  The parser refuses a
+# monomial with more factors than this (a DomainError, exit 3 in the CLI)
+# before it builds the list.  The benchmark's operands have at most 12
+# factors.  On a 2-core x86 host `der "L^10000"` and `bracket "L^10000" L`
+# take 0.2 s; der of 10,000 factors over 1,000 distinct orders makes 1,000
+# monomials of that size and takes 3 s.
+MAX_FACTORS = 10_000
 
 
 class _Scanner:
@@ -93,29 +112,92 @@ def _take_sign(s: _Scanner, required: bool):
     return None if required else 1
 
 
-def _take_exponent(s: _Scanner, default: int = 1) -> int:
+def _take_exponent(s: _Scanner) -> int:
     if s.take("^"):
         e = s.take_int()
         if e is None:
             s.error("expected an integer exponent after '^'")
         return e
-    return default
+    return 1
+
+
+def _take_coeff(s: _Scanner, starts: str, what: str) -> int:
+    """Read an optional integer and an optional '*'; return the integer
+    (1 if absent).  Unless the integer came without '*', a key -- named
+    what, starting with a character of starts -- must follow."""
+    c = s.take_int()
+    if c is not None and not s.take("*"):
+        return c
+    ch = s.peek()
+    if not ch or ch not in starts:
+        s.error("expected %s after '*'" % what if c is not None
+                else "expected a coefficient or %s" % what)
+    return 1 if c is None else c
+
+
+def _parse_sum(s: _Scanner, take_term, stops: str = "") -> dict:
+    """Read a signed sum of terms; take_term(s) reads one term, sign
+    excluded, and returns (key, coefficient).  A bare 0 followed by the end
+    or a character of stops is the empty sum.  Stops before the first token
+    that is not '+' or '-' after a term; cancelled keys are left in the
+    returned dict for the element constructor to drop."""
+    terms: dict = {}
+    if s.peek() == "0":
+        mark = s.pos
+        s.pos += 1
+        if s.at_end() or s.peek() in stops:
+            return terms
+        s.pos = mark
+    sign = _take_sign(s, required=False)
+    while sign is not None:
+        key, c = take_term(s)
+        acc(terms, key, c if sign > 0 else -c)
+        sign = _take_sign(s, required=True)
+    return terms
+
+
+def _parse(text: str, take_term) -> dict:
+    s = _Scanner(text)
+    terms = _parse_sum(s, take_term)
+    s.expect_end()
+    return terms
+
+
+def _power(var: str, n: int) -> str:
+    return "" if n == 0 else var if n == 1 else "%s^%d" % (var, n)
+
+
+def _format_sum(sorted_terms, key_text, sep: str) -> str:
+    """Signed-sum text of (key, coefficient) pairs.  key_text(key) is ""
+    for the unit key, whose term is its bare coefficient; sep goes between
+    a coefficient other than +-1 and its key."""
+    pieces = []
+    for key, c in sorted_terms:
+        text = key_text(key)
+        pieces.append(" - " if c < 0 else " + ")
+        if not text:
+            pieces.append(str(abs(c)))
+        elif abs(c) == 1:
+            pieces.append(text)
+        else:
+            pieces.append("%d%s%s" % (abs(c), sep, text))
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------- diffpoly
 
-def _parse_diffpoly_term(s: _Scanner):
-    coeff = s.take_int()
-    if coeff is not None:
-        s.take("*")
+def _diffpoly_term(s: _Scanner):
+    c = _take_coeff(s, "Ld", "a generator")
     orders: list[int] = []
-    seen_factor = False
     while True:
-        c = s.peek()
-        if c == "L":
+        ch = s.peek()
+        if ch == "L":
             s.pos += 1
             k = 0
-        elif c == "d":
+        elif ch == "d":
             s.pos += 1
             k = s.take_int()
             if k is None:
@@ -123,132 +205,56 @@ def _parse_diffpoly_term(s: _Scanner):
             if not s.take("L"):
                 s.error("expected 'L' after the derivative order")
         else:
-            break
-        seen_factor = True
-        orders.extend([k] * _take_exponent(s))
-    if coeff is None and not seen_factor:
-        s.error("expected a coefficient or a generator")
-    return mono(orders), (1 if coeff is None else coeff)
-
-
-def _parse_diffpoly_body(s: _Scanner, stops: str = "") -> DiffPoly:
-    terms: dict = {}
-    sign = _take_sign(s, required=False)
-    while True:
-        m, c = _parse_diffpoly_term(s)
-        terms[m] = terms.get(m, 0) + sign * c
-        nxt = s.peek()
-        if nxt in ("+", "-"):
-            sign = _take_sign(s, required=True)
-            continue
-        if nxt == "" or nxt in stops:
-            break
-        s.error("unexpected token in polynomial")
-    return DiffPoly(terms)
+            return mono(orders), c
+        e = _take_exponent(s)
+        if len(orders) + e > MAX_FACTORS:
+            raise DomainError("a monomial has at most %d factors here, got more at position %d"
+                              % (MAX_FACTORS, s.pos))
+        orders.extend([k] * e)
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
-    s = _Scanner(text)
-    out = _parse_diffpoly_body(s)
-    s.expect_end()
-    return out
+    return DiffPoly(_parse(text, _diffpoly_term))
 
 
 def _format_mono(m) -> str:
-    if not m:
-        return "1"
-    pieces = []
-    i = 0
-    while i < len(m):
-        j = i
-        while j < len(m) and m[j] == m[i]:
-            j += 1
-        base = "L" if m[i] == 0 else "d%dL" % m[i]
-        e = j - i
-        pieces.append(base if e == 1 else "%s^%d" % (base, e))
-        i = j
-    return " ".join(pieces)
-
-
-def _join_signed(parts: list[tuple[int, str]]) -> str:
-    # parts: (coefficient sign, body without sign)
-    out = []
-    for i, (c, body) in enumerate(parts):
-        if i == 0:
-            out.append("-" + body if c < 0 else body)
-        else:
-            out.append((" - " if c < 0 else " + ") + body)
-    return "".join(out)
+    return " ".join(_power("L" if k == 0 else "d%dL" % k, len(list(run)))
+                    for k, run in groupby(m))
 
 
 def format_diffpoly(f: DiffPoly) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for m, c in f.sorted_terms():
-        if not m:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = _format_mono(m)
-        else:
-            body = "%d %s" % (abs(c), _format_mono(m))
-        parts.append((c, body))
-    return _join_signed(parts)
+    return _format_sum(f.sorted_terms(), _format_mono, " ")
 
 
 # ------------------------------------------------------------- lambdapoly
 
-def _parse_lambda_summands(s: _Scanner, parse_body):
-    """Shared shape of lambda-polynomial text: parenthesized coefficients
-    with optional *lam^k markers."""
-    out: dict = {}
-    if s.peek() == "0":
-        mark = s.pos
-        s.pos += 1
-        if s.at_end():
-            return out
-        s.pos = mark
-    sign = _take_sign(s, required=False)
-    while True:
+def _lambda_term(take_term, cls):
+    """Term reader for (coefficient)*lam^k, the coefficient a signed sum of
+    take_term terms in parentheses, made a cls value."""
+
+    def take(s: _Scanner):
         s.expect("(")
-        coeff = parse_body(s)
+        coeff = cls(_parse_sum(s, take_term, stops=")"))
         s.expect(")")
         k = 0
         if s.take("*"):
             if not s.take_word("lam"):
                 s.error("expected 'lam' after '*'")
             k = _take_exponent(s)
-        prev = out.get(k)
-        cur = coeff if sign > 0 else -coeff
-        out[k] = cur if prev is None else prev + cur
-        nxt = s.peek()
-        if nxt in ("+", "-"):
-            sign = _take_sign(s, required=True)
-            continue
-        break
-    return out
+        return k, coeff
+
+    return take
 
 
 def parse_lambdapoly(text: str) -> LambdaPoly:
-    s = _Scanner(text)
-    out = _parse_lambda_summands(s, lambda sc: _parse_diffpoly_body(sc, stops=")"))
-    s.expect_end()
-    return LambdaPoly(out)
+    return LambdaPoly(_parse(text, _lambda_term(_diffpoly_term, DiffPoly)))
 
 
 def _format_lambda_terms(coeffs: dict, fmt) -> str:
     if not coeffs:
         return "0"
-    bits = []
-    for k in sorted(coeffs):
-        head = "(%s)" % fmt(coeffs[k])
-        if k == 0:
-            bits.append(head)
-        elif k == 1:
-            bits.append(head + "*lam")
-        else:
-            bits.append("%s*lam^%d" % (head, k))
-    return " + ".join(bits)
+    return " + ".join("(%s)%s" % (fmt(coeffs[k]), "*" + _power("lam", k) if k else "")
+                      for k in sorted(coeffs))
 
 
 def format_lambdapoly(P: LambdaPoly) -> str:
@@ -289,43 +295,17 @@ def format_partition(p: Partition) -> str:
 
 # -------------------------------------------------------- class elements
 
+def _partition_term(s: _Scanner):
+    c = _take_coeff(s, "[", "a partition literal")
+    return _parse_partition_literal(s), c
+
+
 def parse_k0sigma(text: str) -> K0SigmaElem:
-    s = _Scanner(text)
-    if s.peek() == "0":
-        mark = s.pos
-        s.pos += 1
-        if s.at_end():
-            return K0SigmaElem.zero()
-        s.pos = mark
-    terms: dict = {}
-    sign = _take_sign(s, required=False)
-    while True:
-        coeff = s.take_int()
-        if coeff is not None:
-            s.take("*")
-        if s.peek() != "[":
-            s.error("expected a partition literal")
-        p = _parse_partition_literal(s)
-        c = sign * (1 if coeff is None else coeff)
-        terms[p] = terms.get(p, 0) + c
-        nxt = s.peek()
-        if nxt in ("+", "-"):
-            sign = _take_sign(s, required=True)
-            continue
-        break
-    s.expect_end()
-    return K0SigmaElem(terms)
+    return K0SigmaElem(_parse(text, _partition_term))
 
 
 def format_k0sigma(e: K0SigmaElem) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for p, c in e.sorted_terms():
-        lit = str(p)
-        body = lit if abs(c) == 1 else "%d*%s" % (abs(c), lit)
-        parts.append((c, body))
-    return _join_signed(parts)
+    return _format_sum(e.sorted_terms(), str, "*")
 
 
 def parse_kn(text: str):
@@ -335,20 +315,11 @@ def parse_kn(text: str):
     the two kinds may not be mixed.  Bare '0' parses as the zero
     projective-class combination.
     """
-    s = _Scanner(text)
-    if s.peek() == "0":
-        mark = s.pos
-        s.pos += 1
-        if s.at_end():
-            return "N", K0NElem.zero()
-        s.pos = mark
     kind = None
-    terms: dict = {}
-    sign = _take_sign(s, required=False)
-    while True:
-        coeff = s.take_int()
-        if coeff is not None:
-            s.take("*")
+
+    def take_term(s: _Scanner):
+        nonlocal kind
+        c = _take_coeff(s, "[", "a class literal")
         s.expect("[")
         ch = s.peek()
         if ch not in ("N", "L"):
@@ -362,148 +333,58 @@ def parse_kn(text: str):
         if n is None:
             s.error("expected a class index")
         s.expect("]")
-        c = sign * (1 if coeff is None else coeff)
-        terms[n] = terms.get(n, 0) + c
-        nxt = s.peek()
-        if nxt in ("+", "-"):
-            sign = _take_sign(s, required=True)
-            continue
-        break
-    s.expect_end()
-    cls = K0NElem if kind == "N" else G0NElem
-    return kind, cls(terms)
+        return n, c
+
+    terms = _parse(text, take_term)
+    kind = kind or "N"
+    return kind, (K0NElem if kind == "N" else G0NElem)(terms)
 
 
 def format_kn(e) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for n, c in e.sorted_terms():
-        lit = "[%s%d]" % (e.label, n)
-        body = lit if abs(c) == 1 else "%d*%s" % (abs(c), lit)
-        parts.append((c, body))
-    return _join_signed(parts)
+    return _format_sum(e.sorted_terms(), lambda n: "[%s%d]" % (e.label, n), "*")
 
 
 # ------------------------------------------------------------- x / Weyl
 
+def _xpoly_term(s: _Scanner):
+    c = _take_coeff(s, "x", "'x'")
+    return (_take_exponent(s) if s.take("x") else 0), c
+
+
 def parse_xpoly(text: str) -> XPoly:
-    s = _Scanner(text)
-    terms: dict = {}
-    sign = _take_sign(s, required=False)
-    while True:
-        coeff = s.take_int()
-        if coeff is not None:
-            s.take("*")
-        n = 0
-        if s.take("x"):
-            n = _take_exponent(s)
-        elif coeff is None:
-            s.error("expected a coefficient or 'x'")
-        c = sign * (1 if coeff is None else coeff)
-        terms[n] = terms.get(n, 0) + c
-        nxt = s.peek()
-        if nxt in ("+", "-"):
-            sign = _take_sign(s, required=True)
-            continue
-        break
-    s.expect_end()
-    return XPoly(terms)
+    return XPoly(_parse(text, _xpoly_term))
 
 
 def format_xpoly(p: XPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for n, c in p.sorted_terms():
-        if n == 0:
-            body = str(abs(c))
-        else:
-            var = "x" if n == 1 else "x^%d" % n
-            body = var if abs(c) == 1 else "%d %s" % (abs(c), var)
-        parts.append((c, body))
-    return _join_signed(parts)
+    return _format_sum(p.sorted_terms(), lambda n: _power("x", n), " ")
+
+
+def _weyl_term(s: _Scanner):
+    c = _take_coeff(s, "xD", "'x' or 'D'")
+    a = _take_exponent(s) if s.take("x") else 0
+    b = _take_exponent(s) if s.take("D") else 0
+    return (a, b), c
 
 
 def parse_weyl(text: str) -> WeylElem:
-    s = _Scanner(text)
-    terms: dict = {}
-    sign = _take_sign(s, required=False)
-    while True:
-        coeff = s.take_int()
-        if coeff is not None:
-            s.take("*")
-        a = b = 0
-        seen = False
-        if s.take("x"):
-            a = _take_exponent(s)
-            seen = True
-        if s.take("D"):
-            b = _take_exponent(s)
-            seen = True
-        if coeff is None and not seen:
-            s.error("expected a coefficient, 'x' or 'D'")
-        c = sign * (1 if coeff is None else coeff)
-        key = (a, b)
-        terms[key] = terms.get(key, 0) + c
-        nxt = s.peek()
-        if nxt in ("+", "-"):
-            sign = _take_sign(s, required=True)
-            continue
-        break
-    s.expect_end()
-    return WeylElem(terms)
+    return WeylElem(_parse(text, _weyl_term))
+
+
+def _format_weyl_key(key) -> str:
+    return " ".join(filter(None, (_power("x", key[0]), _power("D", key[1]))))
 
 
 def format_weyl(w: WeylElem) -> str:
-    if w.is_zero():
-        return "0"
-    parts = []
-    for (a, b), c in w.sorted_terms():
-        bits = []
-        if a:
-            bits.append("x" if a == 1 else "x^%d" % a)
-        if b:
-            bits.append("D" if b == 1 else "D^%d" % b)
-        if not bits:
-            body = str(abs(c))
-        else:
-            var = " ".join(bits)
-            body = var if abs(c) == 1 else "%d %s" % (abs(c), var)
-        parts.append((c, body))
-    return _join_signed(parts)
+    return _format_sum(w.sorted_terms(), _format_weyl_key, " ")
 
 
 # --------------------------------------------------- transported bracket
 
 def parse_k0lambda(text: str) -> dict[int, K0SigmaElem]:
     """Lambda-polynomial text with class-combination coefficients."""
-
-    def body(sc: _Scanner) -> K0SigmaElem:
-        terms: dict = {}
-        sign = _take_sign(sc, required=False)
-        while True:
-            coeff = sc.take_int()
-            if coeff is not None:
-                sc.take("*")
-            if sc.peek() != "[":
-                sc.error("expected a partition literal")
-            p = _parse_partition_literal(sc)
-            c = sign * (1 if coeff is None else coeff)
-            terms[p] = terms.get(p, 0) + c
-            nxt = sc.peek()
-            if nxt in ("+", "-"):
-                sign = _take_sign(sc, required=True)
-                continue
-            break
-        return K0SigmaElem(terms)
-
-    s = _Scanner(text)
-    out = _parse_lambda_summands(s, body)
-    s.expect_end()
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    terms = _parse(text, _lambda_term(_partition_term, K0SigmaElem))
+    return {k: v for k, v in terms.items() if v}
 
 
 def format_k0lambda(coeffs: dict[int, K0SigmaElem]) -> str:
-    return _format_lambda_terms(
-        {k: v for k, v in coeffs.items() if not v.is_zero()}, format_k0sigma)
+    return _format_lambda_terms({k: v for k, v in coeffs.items() if v}, format_k0sigma)

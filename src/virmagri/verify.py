@@ -128,6 +128,15 @@ def _mono_pairs_total(max_total: int):
                 yield a, b
 
 
+def _mono_triples_total(max_total: int):
+    monos = _monomials_upto(max_total)
+    for a, b in _mono_pairs_total(max_total):
+        dab = mono_degree(a) + mono_degree(b)
+        for c in monos:
+            if dab + mono_degree(c) <= max_total:
+                yield a, b, c
+
+
 def _rand_poly(rng: random.Random, max_deg: int, max_terms: int = 3) -> DiffPoly:
     out = DiffPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
@@ -326,20 +335,10 @@ def _check_skew(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
 @_register("jacobi", "brackets")
 def _check_jacobi(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
-    monos = _monomials_upto(bounds.deg(6))
-    for a in monos:
-        da = mono_degree(a)
-        for b in monos:
-            dab = da + mono_degree(b)
-            if dab > bounds.deg(6):
-                continue
-            for c in monos:
-                if dab + mono_degree(c) > bounds.deg(6):
-                    continue
-                d = jacobi_defect(DiffPoly.monomial(a), DiffPoly.monomial(b),
-                                  DiffPoly.monomial(c), ctx)
-                rep.record("jacobi", "a=%s, b=%s, c=%s" % (_fmt_mono(a), _fmt_mono(b), _fmt_mono(c)),
-                           d.is_zero(), "nonzero defect", "0")
+    for a, b, c in _mono_triples_total(bounds.deg(6)):
+        d = jacobi_defect(DiffPoly.monomial(a), DiffPoly.monomial(b), DiffPoly.monomial(c), ctx)
+        rep.record("jacobi", "a=%s, b=%s, c=%s" % (_fmt_mono(a), _fmt_mono(b), _fmt_mono(c)),
+                   d.is_zero(), "nonzero defect", "0")
     return rep
 
 
@@ -369,22 +368,13 @@ def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
 @_register("bracket-leibniz", "brackets")
 def _check_bracket_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
-    monos = _monomials_upto(bounds.deg(6))
-    for a in monos:
-        da = mono_degree(a)
-        for b in monos:
-            dab = da + mono_degree(b)
-            if dab > bounds.deg(6):
-                continue
-            for c in monos:
-                if dab + mono_degree(c) > bounds.deg(6):
-                    continue
-                fa, fb, fc = (DiffPoly.monomial(m) for m in (a, b, c))
-                lhs = bracket_master(fa, fb * fc, ctx)
-                rhs = bracket_master(fa, fc, ctx).scale(fb) + bracket_master(fa, fb, ctx).scale(fc)
-                rep.record("bracket-leibniz",
-                           "a=%s, b=%s, c=%s" % (_fmt_mono(a), _fmt_mono(b), _fmt_mono(c)),
-                           lhs == rhs, lhs, rhs)
+    for a, b, c in _mono_triples_total(bounds.deg(6)):
+        fa, fb, fc = (DiffPoly.monomial(m) for m in (a, b, c))
+        lhs = bracket_master(fa, fb * fc, ctx)
+        rhs = bracket_master(fa, fc, ctx).scale(fb) + bracket_master(fa, fb, ctx).scale(fc)
+        rep.record("bracket-leibniz",
+                   "a=%s, b=%s, c=%s" % (_fmt_mono(a), _fmt_mono(b), _fmt_mono(c)),
+                   lhs == rhs, lhs, rhs)
     return rep
 
 

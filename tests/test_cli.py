@@ -6,6 +6,7 @@ from virmagri import DiffPoly, WeylElem, XPoly
 from virmagri.cli import MAX_ORDER, SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
+    MAX_FACTORS,
     parse_diffpoly,
     parse_k0lambda,
     parse_k0sigma,
@@ -69,6 +70,26 @@ def test_bracket_huge_derivative_order_is_refused_fast(capsys):
         assert time.perf_counter() - start < 5
         assert (code, out) == (3, "")
         assert err.startswith("domain error:") and "Traceback" not in err
+
+
+def test_huge_exponents_are_refused_fast(capsys):
+    for argv in (("der", "L^99999999999999999999"), ("der", "L^100000000"),
+                 ("mul", "d2L^%d" % (MAX_FACTORS + 1), "L"),
+                 ("bracket", "L", "L^5000 d1L^5001"), ("zhu", "2 L^%d d1L" % MAX_FACTORS)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error:") and "Traceback" not in err
+    assert run(capsys, "der", "L^5000")[:2] == (0, "5000 d1L L^4999")
+    assert run(capsys, "der", "d1L^%d" % MAX_FACTORS)[0] == 0
+
+
+def test_dangling_star_is_a_parse_error(capsys):
+    for argv in (("der", "2*"), ("der", "L + 3 *"), ("nabla", "2*")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:") and "position %d" % len(argv[1]) in err
 
 
 def test_bracket_large_derivative_order_still_computes(capsys):

@@ -187,3 +187,49 @@ def test_k0lambda_text():
     assert back == coeffs
     assert format_k0lambda({}) == "0"
     assert parse_k0lambda("0") == {}
+    assert parse_k0lambda("(0)") == {}
+    assert parse_k0lambda("([1]) + (0)*lam^2") == {0: K0SigmaElem.basis((1,))}
+
+
+@given(st.dictionaries(st.integers(0, 6),
+                       st.dictionaries(partition_st(6), st.integers(-9, 9), max_size=3)
+                       .map(K0SigmaElem), max_size=4))
+def test_k0lambda_round_trip(coeffs):
+    assert parse_k0lambda(format_k0lambda(coeffs)) == {k: v for k, v in coeffs.items() if v}
+
+
+# (parser, text, character position of the first offending token)
+PARSE_ERRORS = [
+    (parse_diffpoly, "3 dxL", 3), (parse_diffpoly, "d-1L", 1), (parse_diffpoly, "2 L +", 5),
+    (parse_diffpoly, "L ; L", 2), (parse_diffpoly, "", 0), (parse_diffpoly, "d3", 2),
+    (parse_diffpoly, "L^x", 2), (parse_diffpoly, "L*2", 1),
+    (parse_lambdapoly, "(L", 2), (parse_lambdapoly, "L", 0), (parse_lambdapoly, "(L)*lum", 4),
+    (parse_lambdapoly, "(L) + ", 6), (parse_lambdapoly, "(L)*lam^", 8),
+    (parse_lambdapoly, "(L ; L)", 3), (parse_lambdapoly, "0 + (L)", 0),
+    (parse_lambdapoly, "2 (L)", 0),
+    (parse_partition, "[5,2", 4), (parse_partition, "[-1]", 3), (parse_partition, "[2,1] junk", 6),
+    (parse_partition, "[2,]", 3), (parse_partition, "", 0),
+    (parse_k0sigma, "[3,1] +", 7), (parse_k0sigma, "2*[3,1] - x", 10), (parse_k0sigma, "-", 1),
+    (parse_k0sigma, "0 + [1]", 2), (parse_k0sigma, "[1] [2]", 4), (parse_k0sigma, "2*", 2),
+    (parse_k0sigma, "[1,-2]", 5),
+    (parse_kn, "[N1] + [L2]", 8), (parse_kn, "[X2]", 1), (parse_kn, "[N]", 2), (parse_kn, "[N2", 3),
+    (parse_kn, "N2", 0), (parse_kn, "3*[N2] -", 8), (parse_kn, "2*", 2),
+    (parse_xpoly, "x^", 2), (parse_xpoly, "y", 0), (parse_xpoly, "x + ", 4),
+    (parse_xpoly, "x^2 x", 4), (parse_xpoly, "3 x D", 4),
+    (parse_weyl, "D x", 2), (parse_weyl, "x^2 D^", 6), (parse_weyl, "x D +", 5),
+    (parse_weyl, "z", 0), (parse_weyl, "x*D", 1),
+    (parse_k0lambda, "([1]", 4), (parse_k0lambda, "([1])*lam^", 10), (parse_k0lambda, "(L)", 1),
+    (parse_k0lambda, "([1]) + 0", 8), (parse_k0lambda, "(0", 2), (parse_k0lambda, "([2]) ([1])", 6),
+    (parse_k0lambda, "(2*)", 3),
+    # A '*' must be followed by a key, not by the end, a sign or ')'.
+    (parse_diffpoly, "2*", 2), (parse_diffpoly, "2 * + L", 4), (parse_lambdapoly, "(2*)", 3),
+    (parse_xpoly, "2*", 2), (parse_weyl, "2*", 2),
+]
+
+
+@pytest.mark.parametrize("parse, text, pos", PARSE_ERRORS)
+def test_parse_errors_report_the_offending_position(parse, text, pos):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.pos == pos
+    assert "at position %d" % pos in str(e.value)
