@@ -12,10 +12,15 @@ each (lambda+d)^n of the g side runs once.  bracket_recursive reduces
 arguments step by step through sesquilinearity, skew-symmetry and the
 product rule, bottoming out at the generator bracket.  They must agree
 everywhere; the verification suites compare them case by case.
+
+Inside a bracket_memo() context, bracket_master remembers its results,
+keyed on both arguments' terms (coefficients included) and the charge;
+outside one it computes every call.  bracket_recursive is never cached.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import comb, factorial
 
 from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono
@@ -39,7 +44,7 @@ class LambdaPoly(Sparse):
     def lambda_shift(self, m: int, sign: int = 1) -> "LambdaPoly":
         """Multiply by (sign*lambda)^m; no derivative acts."""
         s = -1 if (sign < 0 and m % 2) else 1
-        return LambdaPoly({k + m: p * s for k, p in self.terms.items()})
+        return LambdaPoly._nonzero({k + m: p * s for k, p in self.terms.items()})
 
     def shift_apply(self, m: int, sign: int = 1) -> "LambdaPoly":
         """Apply (sign*(lambda + d))^m: lambda^j P -> sum_k C(m,k) lambda^(j+m-k) d^k P."""
@@ -87,8 +92,44 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
     return LambdaPoly(coeffs)
 
 
+_memo: dict | None = None
+
+
+@contextmanager
+def bracket_memo():
+    """Cache bracket_master results until the outermost context exits.
+
+    A nested context shares the memo of the one around it.  Callers of
+    one argument pair share one result value, which, like every Sparse
+    value, is never mutated.  The memo holds every distinct bracket
+    computed meanwhile, so keep the scope small: one verification sweep,
+    not a whole suite.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
-    """Closed-form bracket of two differential polynomials.
+    """Closed-form bracket of two differential polynomials, looked up in
+    the bracket_memo() memo when one is open."""
+    if _memo is None:
+        return _bracket_master(f, g, ctx)
+    key = (frozenset(f.terms.items()), frozenset(g.terms.items()), ctx.central_charge)
+    br = _memo.get(key)
+    if br is None:
+        br = _memo[key] = _bracket_master(f, g, ctx)
+    return br
+
+
+def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
+    """The master formula behind bracket_master, uncached.
 
     Everything right of the partial of g is linear in the f side, so the
     sum over the derivative orders m of f is taken first: push the

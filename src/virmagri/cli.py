@@ -111,6 +111,24 @@ def _bounded(f: DiffPoly) -> DiffPoly:
     return f
 
 
+# Quantizing writes a factor dkL (the part k+1) as the Ind/Res word
+# Ind^(k+3) Res, k+4 letters, and normal-orders the product letter by
+# letter (classes) or factor by factor (polynomials), each step against
+# every term built so far.  The time grows faster than the square of
+# the letter count: on a 2-core x86 host L^400 (1,600 letters) takes
+# 0.9 s, L^2000 30 s, d100L^400 54 s, and the class of 100 parts 1001
+# (100,400 letters) 21 s.
+QUANTIZE_MAX_LETTERS = 1600
+
+
+def _quantizable(f: DiffPoly) -> DiffPoly:
+    letters = sum(k + 4 for m in f.terms for k in m)
+    if letters > QUANTIZE_MAX_LETTERS:
+        raise DomainError("quantize takes at most %d Ind/Res letters (dkL counts k+4), got %d"
+                          % (QUANTIZE_MAX_LETTERS, letters))
+    return f
+
+
 def _run_bracket(args, ctx):
     if _operand_kind(args.a) == "k0" and _operand_kind(args.b) == "k0":
         a, b = parse_k0sigma(args.a), parse_k0sigma(args.b)
@@ -195,9 +213,11 @@ def _run_qmap(args, ctx):
 
 def _run_quantize(args, ctx):
     if _operand_kind(args.a) == "k0":
-        out = psi1(parse_k0sigma(args.a), ctx).to_weyl()
+        e = parse_k0sigma(args.a)
+        _quantizable(phi_sigma(e))
+        out = psi1(e, ctx).to_weyl()
     else:
-        out = psi2(parse_diffpoly(args.a), ctx)
+        out = psi2(_quantizable(parse_diffpoly(args.a)), ctx)
     return format_weyl(out), _weyl_payload(out)
 
 
@@ -229,7 +249,20 @@ def _run_count_syt(args, ctx):
     return str(n), {"type": "int", "value": n}
 
 
+# One cap per verify sweep-size flag: the largest size at which the whole
+# suite stays within 10 s at one charge on a 2-core x86 host.  The
+# costliest check sets each: --max-n 8 takes 8 s (k0-bracket-transport
+# brackets every pair of partitions up to n), 9 takes 22 s; --max-deg 8
+# takes 10 s (hamiltonian, jacobi), 9 takes 27 s; --max-j 40 takes 8 s
+# (pjind-diagram inserts rows of up to j boxes), 80 takes 24 s.
+VERIFY_CAPS = {"max_n": 8, "max_j": 40, "max_deg": 8}
+
+
 def _run_verify(args, ctx):
+    for flag, cap in VERIFY_CAPS.items():
+        value = getattr(args, flag)
+        if value is not None and not 0 <= value <= cap:
+            raise DomainError("--%s takes 0 to %d, got %d" % (flag.replace("_", "-"), cap, value))
     bounds = Bounds(max_n=args.max_n, max_j=args.max_j, max_deg=args.max_deg)
     rep = run_suite(args.suite, bounds, ctx)
     lines = rep.summary_lines()
@@ -312,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
 
     p = sub.add_parser("quantize", parents=[common],
-                       help="normally ordered Weyl image (central charge 0 only)")
+                       help="normally ordered Weyl image (central charge 0 only; "
+                            "at most %d Ind/Res letters, a factor dkL counting k+4)"
+                            % QUANTIZE_MAX_LETTERS)
     p.add_argument("a")
 
     p = sub.add_parser("phi", parents=[common],
@@ -327,9 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run verification sweeps")
     p.add_argument("--suite", default="all", choices=suite_names(),
                    metavar="SUITE", help="check name, group name, or 'all'")
-    p.add_argument("--max-n", type=int, default=None, help="override size sweeps")
-    p.add_argument("--max-j", type=int, default=None, help="override row/order sweeps")
-    p.add_argument("--max-deg", type=int, default=None, help="override degree sweeps")
+    p.add_argument("--max-n", type=int, default=None,
+                   help="override size sweeps (0 to %d)" % VERIFY_CAPS["max_n"])
+    p.add_argument("--max-j", type=int, default=None,
+                   help="override row/order sweeps (0 to %d)" % VERIFY_CAPS["max_j"])
+    p.add_argument("--max-deg", type=int, default=None,
+                   help="override degree sweeps (0 to %d)" % VERIFY_CAPS["max_deg"])
 
     return parser
 

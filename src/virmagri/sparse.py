@@ -3,8 +3,11 @@
 Every algebra element type in the package is one of these: a dict from
 basis keys to nonzero coefficients, where a coefficient is an int or
 itself a Sparse value (lambda polynomials carry DiffPoly coefficients).
-The constructor drops zero coefficients, so accumulation loops never
-have to.
+The constructor copies the caller's dict and drops zero coefficients, so
+accumulation loops never have to; it filters only when a zero is
+present.  The coefficient rings (the integers and the integer
+differential polynomials) have no zero divisors, so negating or scaling
+by a nonzero factor cannot make a zero and builds its result unchecked.
 """
 
 from __future__ import annotations
@@ -30,7 +33,20 @@ class Sparse:
     key_mul = None
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        if not terms:
+            self.terms = {}
+        elif all(terms.values()):
+            self.terms = dict(terms)
+        else:
+            self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def _nonzero(cls, terms: dict):
+        """Wrap terms, a fresh dict known to hold no zero, without a check
+        or a copy."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls):
@@ -56,14 +72,16 @@ class Sparse:
         return type(self)(out)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._nonzero({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, f):
         """Multiply every coefficient by f (an int, or a coefficient value)."""
-        return type(self)({k: c * f for k, c in self.terms.items()})
+        if not f:
+            return type(self)()
+        return self._nonzero({k: c * f for k, c in self.terms.items()})
 
     def __mul__(self, other):
         key_mul = self.key_mul

@@ -5,17 +5,25 @@ the identity is quantified over all elements) and returns a CheckReport.
 The registry maps stable names to check functions so suites are
 addressable individually from the command line; group names select every
 check of one module, and "all" runs the lot.
+
+The registry runs each check inside its own bracket_memo(), so a sweep
+that meets one argument pair many times (Jacobi, Leibniz, skew) computes
+its bracket once.  The memo lives for one check, never for a whole
+suite, and the oracles (bracket_recursive, the test-suite models) are
+never cached.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import wraps
 from math import comb, factorial
 
 from .brackets import (
     LambdaPoly,
     bracket_master,
+    bracket_memo,
     bracket_recursive,
     gen_bracket,
     hamiltonian_defects,
@@ -51,6 +59,7 @@ from .nilcoxeter import (
 )
 from .partitions import Partition, partitions_of, partitions_upto, standard_tableaux_count
 from .report import CheckReport
+from .text import _format_mono
 from .zhu import q_map, verify_zhu_diagrams, zhu_h
 
 _SEED = 20260808
@@ -80,9 +89,14 @@ GROUP_OF: dict = {}
 
 def _register(name: str, group: str):
     def deco(fn):
-        CHECKS[name] = fn
+        @wraps(fn)
+        def check(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
+            with bracket_memo():
+                return fn(bounds, ctx)
+
+        CHECKS[name] = check
         GROUP_OF[name] = group
-        return fn
+        return check
 
     return deco
 
@@ -148,7 +162,7 @@ def _rand_poly(rng: random.Random, max_deg: int, max_terms: int = 3) -> DiffPoly
 
 
 def _fmt_mono(m) -> str:
-    return str(DiffPoly.monomial(m))
+    return _format_mono(m) or "1"
 
 
 # ----------------------------------------------------------- partitions

@@ -3,7 +3,7 @@ import time
 
 from helpers import syt_by_hooks
 from virmagri import DiffPoly, WeylElem, XPoly
-from virmagri.cli import MAX_ORDER, SYT_MAX_BOXES, main
+from virmagri.cli import MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, VERIFY_CAPS, main
 from virmagri.report import CheckReport
 from virmagri.text import (
     MAX_FACTORS,
@@ -83,6 +83,35 @@ def test_huge_exponents_are_refused_fast(capsys):
         assert err.startswith("domain error:") and "Traceback" not in err
     assert run(capsys, "der", "L^5000")[:2] == (0, "5000 d1L L^4999")
     assert run(capsys, "der", "d1L^%d" % MAX_FACTORS)[0] == 0
+
+
+def test_verify_sweep_sizes_are_checked_before_any_sweep(capsys):
+    over = [("--" + flag.replace("_", "-"), str(cap + 1)) for flag, cap in VERIFY_CAPS.items()]
+    for argv in (("--max-n", "-1"), ("--max-deg", "-3"), ("--max-j", "-1"), *over,
+                 ("--suite", "jacobi", "--max-deg", "12"),
+                 ("--suite", "conjugate-involution", "--max-n", "60")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: --max-") and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "--suite", "conjugate-involution",
+                       "--max-n", str(VERIFY_CAPS["max_n"]))
+    assert (code, out) == (0, "PASS conjugate-involution (67 cases)")
+    assert run(capsys, "verify", "--suite", "witt-commutator", "--max-j", "0")[:2] == (0, "")
+
+
+def test_quantize_refuses_long_words_fast(capsys):
+    assert QUANTIZE_MAX_LETTERS == 4 * 400
+    for argv in (("quantize", "L^2000"), ("quantize", "L^401"), ("quantize", "d100L^400"),
+                 ("quantize", "[1598]"), ("quantize", "[%s]" % ",".join(["1001"] * 100))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: quantize takes") and "Traceback" not in err
+    assert run(capsys, "quantize", "L^2") == (0, "x^6 D^2 + 3 x^5 D", "")
+    assert run(capsys, "quantize", "[1,1]")[:2] == (0, "x^6 D^2 + 3 x^5 D")
 
 
 def test_dangling_star_is_a_parse_error(capsys):

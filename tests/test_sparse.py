@@ -68,3 +68,21 @@ def test_equality_needs_the_same_type():
 def test_hbar_bracket_has_no_zero_coefficients(a, b):
     for ctx in (AlgebraCtx(0), AlgebraCtx(1)):
         assert all(hbar_bracket(a, b, ctx).values())
+
+
+
+@pytest.mark.parametrize("a", SAMPLES, ids=lambda a: type(a).__name__)
+def test_constructor_copies_and_drops_zeros(a):
+    cls = type(a)
+    terms = dict(a.terms)
+    b = cls(terms)
+    key, c = next(iter(terms.items()))
+    terms[key] = c + c
+    terms["another key"] = c
+    assert b == a and b.terms is not terms
+    with_zero = cls({**a.terms, "zero key": 0 * c})
+    assert with_zero == a and "zero key" not in with_zero.terms
+    for f in (1, -1, 3):
+        assert all(a.scale(f).terms.values())
+    assert all((-a).terms.values())
+    assert a.scale(0).terms == {} and a.scale(0) == cls.zero()
