@@ -42,7 +42,7 @@ from .text import (
     parse_kn,
     parse_partition,
 )
-from .verify import Bounds, run_suite, suite_names
+from .verify import Bounds, run_suite, suite_caps, suite_names
 
 _KN_LITERAL = re.compile(r"\[\s*[NL]\d")
 
@@ -249,20 +249,16 @@ def _run_count_syt(args, ctx):
     return str(n), {"type": "int", "value": n}
 
 
-# One cap per verify sweep-size flag: the largest size at which the whole
-# suite stays within 10 s at one charge on a 2-core x86 host.  The
-# costliest check sets each: --max-n 8 takes 8 s (k0-bracket-transport
-# brackets every pair of partitions up to n), 9 takes 22 s; --max-deg 8
-# takes 10 s (hamiltonian, jacobi), 9 takes 27 s; --max-j 40 takes 8 s
-# (pjind-diagram inserts rows of up to j boxes), 80 takes 24 s.
-VERIFY_CAPS = {"max_n": 8, "max_j": 40, "max_deg": 8}
-
-
 def _run_verify(args, ctx):
-    for flag, cap in VERIFY_CAPS.items():
-        value = getattr(args, flag)
-        if value is not None and not 0 <= value <= cap:
-            raise DomainError("--%s takes 0 to %d, got %d" % (flag.replace("_", "-"), cap, value))
+    # Each check carries its own caps (verify.CAPS); a suite takes a size
+    # only if every check it runs accepts it, checked before any sweep.
+    caps = suite_caps(args.suite)
+    for flag in ("max_n", "max_j", "max_deg"):
+        value, cap = getattr(args, flag), caps.get(flag)
+        if value is not None and (value < 0 or cap is not None and value > cap):
+            raise DomainError("--%s takes %s for --suite %s, got %d" % (
+                flag.replace("_", "-"), "0 or more" if cap is None else "0 to %d" % cap,
+                args.suite, value))
     bounds = Bounds(max_n=args.max_n, max_j=args.max_j, max_deg=args.max_deg)
     rep = run_suite(args.suite, bounds, ctx)
     lines = rep.summary_lines()
@@ -360,14 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p")
 
     p = sub.add_parser("verify", parents=[common], help="run verification sweeps")
+    all_caps = suite_caps("all")
     p.add_argument("--suite", default="all", choices=suite_names(),
                    metavar="SUITE", help="check name, group name, or 'all'")
     p.add_argument("--max-n", type=int, default=None,
-                   help="override size sweeps (0 to %d)" % VERIFY_CAPS["max_n"])
+                   help="override size sweeps (0 to the cap of each check run; "
+                        "%d for all)" % all_caps["max_n"])
     p.add_argument("--max-j", type=int, default=None,
-                   help="override row/order sweeps (0 to %d)" % VERIFY_CAPS["max_j"])
+                   help="override row/order sweeps (0 to the cap of each check run; "
+                        "%d for all)" % all_caps["max_j"])
     p.add_argument("--max-deg", type=int, default=None,
-                   help="override degree sweeps (0 to %d)" % VERIFY_CAPS["max_deg"])
+                   help="override degree sweeps (0 to the cap of each check run; "
+                        "%d for all)" % all_caps["max_deg"])
 
     return parser
 

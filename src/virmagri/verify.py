@@ -85,9 +85,20 @@ class Bounds:
 
 CHECKS: dict = {}
 GROUP_OF: dict = {}
+CAPS: dict = {}
 
 
-def _register(name: str, group: str):
+def _register(name: str, group: str, **caps: int):
+    """Register a check with the largest value of each Bounds field it reads.
+
+    A cap is the largest value at which the check alone runs within 5 s
+    at charge 1 on a 2-core x86 host; the note beside each registration
+    gives the time at the cap and one past it.  A check reading both
+    max_n and max_j has max_n measured first and max_j at that max_n, so
+    it stays within 5 s with both at their caps.  weyl-relation takes a
+    round figure below the mark, its time growing about linearly.
+    """
+
     def deco(fn):
         @wraps(fn)
         def check(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
@@ -96,6 +107,7 @@ def _register(name: str, group: str):
 
         CHECKS[name] = check
         GROUP_OF[name] = group
+        CAPS[name] = caps
         return check
 
     return deco
@@ -118,6 +130,16 @@ def resolve_suite(name: str) -> list[str]:
     if name in GROUP_OF.values():
         return sorted(n for n, g in GROUP_OF.items() if g == name)
     raise KeyError(name)
+
+
+def suite_caps(name: str) -> dict[str, int]:
+    """The largest value of each Bounds field that every check of suite
+    `name` accepts; a field none of them reads has no entry."""
+    caps: dict[str, int] = {}
+    for check in resolve_suite(name):
+        for field, cap in CAPS[check].items():
+            caps[field] = min(cap, caps.get(field, cap))
+    return caps
 
 
 def run_suite(name: str, bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
@@ -167,7 +189,7 @@ def _fmt_mono(m) -> str:
 
 # ----------------------------------------------------------- partitions
 
-@_register("conjugate-involution", "partitions")
+@_register("conjugate-involution", "partitions", max_n=37)  # 37: 4.5 s, 38: 5.4 s
 def _check_conjugate_involution(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(12)):
@@ -177,7 +199,7 @@ def _check_conjugate_involution(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("branching-dimension", "partitions")
+@_register("branching-dimension", "partitions", max_n=31)  # 31: 4.9 s, 32: 5.6 s
 def _check_branching_dimension(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(12)):
@@ -187,7 +209,7 @@ def _check_branching_dimension(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("union-laws", "partitions")
+@_register("union-laws", "partitions", max_n=14)  # 14: 4.4 s, 15: 8.8 s
 def _check_union_laws(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     ps = partitions_upto(bounds.n(6))
@@ -208,7 +230,7 @@ def _check_union_laws(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("insert-row", "partitions")
+@_register("insert-row", "partitions", max_n=27, max_j=6)  # 27 and 6: 4.9 s, 27 and 7: 5.8 s
 def _check_insert_row(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(10)):
@@ -227,7 +249,7 @@ def _check_insert_row(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
 
 # ------------------------------------------------------------- diffpoly
 
-@_register("mul-laws", "diffpoly")
+@_register("mul-laws", "diffpoly", max_deg=38)  # 38: 4.8 s, 39: 5.8 s
 def _check_mul_laws(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     rng = random.Random(_SEED)
@@ -245,7 +267,7 @@ def _check_mul_laws(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("derive-leibniz", "diffpoly")
+@_register("derive-leibniz", "diffpoly", max_deg=37)  # 37: 3.1 s, 38: 5.3 s
 def _check_derive_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     rng = random.Random(_SEED + 1)
@@ -257,7 +279,7 @@ def _check_derive_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("derive-grading", "diffpoly")
+@_register("derive-grading", "diffpoly", max_deg=35)  # 35: 4.0 s, 36: 5.1 s
 def _check_derive_grading(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for m in _monomials_upto(bounds.deg(8)):
@@ -269,7 +291,7 @@ def _check_derive_grading(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("monomial-partition-bijection", "diffpoly")
+@_register("monomial-partition-bijection", "diffpoly", max_n=39)  # 39: 4.5 s, 40: 5.7 s
 def _check_mono_bijection(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
 
@@ -292,7 +314,7 @@ def _check_mono_bijection(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("partial-product-rule", "diffpoly")
+@_register("partial-product-rule", "diffpoly", max_deg=41)  # 41: 4.5 s, 42: 7.6 s
 def _check_partial_product_rule(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     rng = random.Random(_SEED + 2)
@@ -321,7 +343,7 @@ def _check_generator_bracket(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("oracle-agreement", "brackets")
+@_register("oracle-agreement", "brackets", max_deg=11)  # 11: 4.5 s, 12: 7.4 s
 def _check_oracle_agreement(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for a, b in _mono_pairs_total(bounds.deg(7)):
@@ -337,7 +359,7 @@ def _check_oracle_agreement(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("skew", "brackets")
+@_register("skew", "brackets", max_deg=12)  # 12: 2.9 s, 13: 7.1 s
 def _check_skew(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for a, b in _mono_pairs_total(bounds.deg(8)):
@@ -346,7 +368,7 @@ def _check_skew(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("jacobi", "brackets")
+@_register("jacobi", "brackets", max_deg=8)  # 8: 2.2 s, 9: 5.8 s
 def _check_jacobi(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for a, b, c in _mono_triples_total(bounds.deg(6)):
@@ -356,7 +378,7 @@ def _check_jacobi(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("sesquilinearity", "brackets")
+@_register("sesquilinearity", "brackets", max_deg=10)  # 10: 3.3 s, 11: 5.3 s
 def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for a, b in _mono_pairs_total(bounds.deg(8)):
@@ -379,7 +401,7 @@ def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("bracket-leibniz", "brackets")
+@_register("bracket-leibniz", "brackets", max_deg=12)  # 12: 3.5 s, 13: 7.1 s
 def _check_bracket_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for a, b, c in _mono_triples_total(bounds.deg(6)):
@@ -392,7 +414,7 @@ def _check_bracket_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("hamiltonian", "brackets")
+@_register("hamiltonian", "brackets", max_deg=8)  # 8: 3.8 s, 9: 13.2 s
 def _check_hamiltonian(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     monos = _monomials_upto(bounds.deg(6))
@@ -421,7 +443,7 @@ def _check_nth_product_spot(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("integrality", "brackets")
+@_register("integrality", "brackets", max_deg=25)  # 25: 3.5 s, 26: 6.3 s
 def _check_integrality(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     rng = random.Random(_SEED + 4)
@@ -439,7 +461,7 @@ def _check_integrality(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
 
 # --------------------------------------------------------------- k0sigma
 
-@_register("phi-roundtrip", "k0sigma")
+@_register("phi-roundtrip", "k0sigma", max_n=38)  # 38: 4.9 s, 39: 5.9 s
 def _check_phi_roundtrip(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(10)):
@@ -454,7 +476,7 @@ def _check_phi_roundtrip(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("pjind-diagram", "k0sigma")
+@_register("pjind-diagram", "k0sigma", max_n=24, max_j=5)  # 24 and 5: 4.0 s, 24 and 6: 5.1 s
 def _check_pjind_diagram(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(10)):
@@ -472,7 +494,7 @@ def _check_pjind_diagram(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("nabla-diagram", "k0sigma")
+@_register("nabla-diagram", "k0sigma", max_n=34)  # 34: 4.5 s, 35: 5.8 s
 def _check_nabla_diagram(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(10)):
@@ -483,7 +505,8 @@ def _check_nabla_diagram(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("nabla-pjind-commutation", "k0sigma")
+# 24 and 6: 4.6 s, 24 and 7: 5.9 s
+@_register("nabla-pjind-commutation", "k0sigma", max_n=24, max_j=6)
 def _check_nabla_pjind(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(10)):
@@ -495,7 +518,7 @@ def _check_nabla_pjind(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("k0-ring-iso", "k0sigma")
+@_register("k0-ring-iso", "k0sigma", max_n=11)  # 11: 2.7 s, 12: 5.6 s
 def _check_k0_ring_iso(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     ps = partitions_upto(bounds.n(8))
@@ -521,7 +544,7 @@ def _check_k0_ring_iso(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("nabla-leibniz", "k0sigma")
+@_register("nabla-leibniz", "k0sigma", max_n=11)  # 11: 4.3 s, 12: 8.8 s
 def _check_nabla_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     ps = partitions_upto(bounds.n(6))
@@ -534,7 +557,7 @@ def _check_nabla_leibniz(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("ind-dimension", "k0sigma")
+@_register("ind-dimension", "k0sigma", max_n=29)  # 29: 4.1 s, 30: 5.3 s
 def _check_ind_dimension(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for p in partitions_upto(bounds.n(10)):
@@ -548,7 +571,7 @@ def _check_ind_dimension(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("k0-bracket-transport", "k0sigma")
+@_register("k0-bracket-transport", "k0sigma", max_n=7)  # 7: 2.3 s, 8: 7.3 s
 def _check_k0_bracket_transport(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     ps = partitions_upto(bounds.n(5))
@@ -582,7 +605,7 @@ def _check_k0_bracket_transport(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
 
 # ------------------------------------------------------------ nilcoxeter
 
-@_register("weyl-relation", "nilcoxeter")
+@_register("weyl-relation", "nilcoxeter", max_n=100_000)  # 100000: 3.0 s, 170000: 4.4 s
 def _check_weyl_relation(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for n in range(bounds.n(50) + 1):
@@ -595,7 +618,7 @@ def _check_weyl_relation(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("phi-n-intertwine", "nilcoxeter")
+@_register("phi-n-intertwine", "nilcoxeter", max_n=499)  # 499: 4.8 s, 500: 5.1 s
 def _check_phi_n(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     x = XPoly.x()
@@ -639,7 +662,7 @@ def _check_weyl_assoc(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("witt-commutator", "nilcoxeter")
+@_register("witt-commutator", "nilcoxeter", max_j=500)  # 500: 3.7 s, 505: 5.1 s
 def _check_witt(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     top = bounds.j(8)
@@ -653,7 +676,7 @@ def _check_witt(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("quantization-diagram", "nilcoxeter")
+@_register("quantization-diagram", "nilcoxeter", max_n=20)  # 20: 4.3 s, 21: 5.8 s
 def _check_quantization(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     # The quantization maps live at central charge 0 regardless of the
     # session charge; the sweep pins that down explicitly.
@@ -675,12 +698,12 @@ def _check_quantization(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
 
 # ------------------------------------------------------------------- zhu
 
-@_register("zhu-diagrams", "zhu")
+@_register("zhu-diagrams", "zhu", max_n=15, max_j=79)  # 15 and 79: 4.1 s, 15 and 80: 5.2 s
 def _check_zhu_diagrams(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return verify_zhu_diagrams(bounds.j(4), bounds.n(8), ctx)
 
 
-@_register("zhu-ring-hom", "zhu")
+@_register("zhu-ring-hom", "zhu", max_deg=39)  # 39: 4.8 s, 40: 6.5 s
 def _check_zhu_ring_hom(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     rng = random.Random(_SEED + 7)
@@ -693,7 +716,7 @@ def _check_zhu_ring_hom(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("zhu-k0-cube", "zhu")
+@_register("zhu-k0-cube", "zhu", max_n=26, max_j=7)  # 26 and 7: 4.9 s, 26 and 8: 6.2 s
 def _check_zhu_k0_cube(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
 

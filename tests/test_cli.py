@@ -3,7 +3,7 @@ import time
 
 from helpers import syt_by_hooks
 from virmagri import DiffPoly, WeylElem, XPoly
-from virmagri.cli import MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, VERIFY_CAPS, main
+from virmagri.cli import MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
     MAX_FACTORS,
@@ -15,6 +15,7 @@ from virmagri.text import (
     parse_weyl,
     parse_xpoly,
 )
+from virmagri.verify import suite_caps
 
 
 def run(capsys, *argv):
@@ -86,19 +87,27 @@ def test_huge_exponents_are_refused_fast(capsys):
 
 
 def test_verify_sweep_sizes_are_checked_before_any_sweep(capsys):
-    over = [("--" + flag.replace("_", "-"), str(cap + 1)) for flag, cap in VERIFY_CAPS.items()]
+    over = [("--" + flag.replace("_", "-"), str(cap + 1)) for flag, cap in suite_caps("all").items()]
     for argv in (("--max-n", "-1"), ("--max-deg", "-3"), ("--max-j", "-1"), *over,
                  ("--suite", "jacobi", "--max-deg", "12"),
-                 ("--suite", "conjugate-involution", "--max-n", "60")):
+                 ("--suite", "conjugate-involution", "--max-n", "60"),
+                 ("--suite", "weyl-relation", "--max-j", "-1")):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", *argv)
         assert time.perf_counter() - start < 2
         assert (code, out) == (3, "")
         assert err.startswith("domain error: --max-") and "Traceback" not in err
-    code, out, _ = run(capsys, "verify", "--suite", "conjugate-involution",
-                       "--max-n", str(VERIFY_CAPS["max_n"]))
-    assert (code, out) == (0, "PASS conjugate-involution (67 cases)")
+
+
+def test_verify_sweep_caps_belong_to_each_check(capsys):
+    assert run(capsys, "verify", "--suite", "conjugate-involution", "--max-n", "12")[:2] == (
+        0, "PASS conjugate-involution (272 cases)")
+    assert run(capsys, "verify", "--suite", "weyl-relation", "--max-n", "50")[:2] == (
+        0, "PASS weyl-relation-k0 (51 cases)\nPASS weyl-relation-g0 (51 cases)")
     assert run(capsys, "verify", "--suite", "witt-commutator", "--max-j", "0")[:2] == (0, "")
+    # witt-commutator reads no --max-n, so no size of it is refused.
+    assert run(capsys, "verify", "--suite", "witt-commutator", "--max-j", "1",
+               "--max-n", "1000000")[:2] == (0, "PASS witt-commutator (1 cases)")
 
 
 def test_quantize_refuses_long_words_fast(capsys):

@@ -1,11 +1,23 @@
+import inspect
 import json
+import re
 
 import pytest
 
 from virmagri import verify
 from virmagri.brackets import LambdaPoly
 from virmagri.diffpoly import AlgebraCtx, DiffPoly
-from virmagri.verify import CHECKS, GROUP_OF, Bounds, group_names, resolve_suite, run_suite, suite_names
+from virmagri.verify import (
+    CAPS,
+    CHECKS,
+    GROUP_OF,
+    Bounds,
+    group_names,
+    resolve_suite,
+    run_suite,
+    suite_caps,
+    suite_names,
+)
 
 SMALL = Bounds(max_n=4, max_j=2, max_deg=3)
 
@@ -25,6 +37,24 @@ def test_bounds_defaults_and_overrides():
     assert (b.n(10), b.j(5), b.deg(7)) == (10, 5, 7)
     b = Bounds(max_n=3, max_j=1, max_deg=2)
     assert (b.n(10), b.j(5), b.deg(7)) == (3, 1, 2)
+
+
+def test_every_check_caps_exactly_the_bounds_it_reads():
+    field = {"n": "max_n", "j": "max_j", "deg": "max_deg"}
+    for name, check in CHECKS.items():
+        defaults = {}
+        for short, default in re.findall(r"bounds\.(n|j|deg)\((\d+)\)",
+                                         inspect.getsource(check.__wrapped__)):
+            defaults[field[short]] = max(int(default), defaults.get(field[short], 0))
+        assert CAPS[name].keys() == defaults.keys(), name
+        assert all(defaults[f] <= CAPS[name][f] for f in defaults), name
+
+
+def test_suite_caps_are_the_least_over_the_suite():
+    assert suite_caps("witt-commutator") == CAPS["witt-commutator"]
+    assert suite_caps("generator-bracket") == {}
+    for field, cap in suite_caps("all").items():
+        assert cap == min(c[field] for c in CAPS.values() if field in c)
 
 
 def test_suite_resolution():

@@ -2,13 +2,14 @@
 BENCH_*.json file.
 
 Each checkout is a directory holding perfbench/run.py and src/virmagri,
-for instance a `git clone` of the commit to measure.  Pair i runs the
-workload once on each side with seed first_seed + i, the parent first on
-even i and the change first on odd i, so drift of the host falls on both
-sides alike.  Standard library only; one perfbench run at a time.
+for instance a `git clone` of the commit to measure.  Each of the PAIRS
+pairs runs the workload once on each side, for perfbench's own run
+length; pair i uses seed first_seed + i, the parent first on even i and
+the change first on odd i, so drift of the host falls on both sides
+alike.  Standard library only; one perfbench run at a time.
 
     python3 tools/bench_ab.py --parent ../parent --change ../change \\
-        --workload verify-all --pairs 10 --first-seed 11 --trace --out BENCH_pr6.json
+        --workload verify-all --first-seed 11 --trace --out BENCH_pr6.json
 
 Runs of other workloads already in --out are kept, so one file collects
 every workload of a change.  With --trace, one `--trace 1` run per side
@@ -27,6 +28,7 @@ import subprocess
 import sys
 
 METRICS = ("wall_s", "peak_rss_mb", "setup_s")
+PAIRS = 10  # the fewest alternating pairs that can show a gain on nine of ten
 _WALLS = re.compile(r"pass walls \[([^\]]*)\]")
 
 
@@ -35,9 +37,9 @@ def _commit(checkout: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def _run(checkout: str, workload: str, seed: int, trace: bool) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+            "--trace", "1" if trace else "0"]
     p = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if p.returncode:
         raise SystemExit("bench_ab: %s exited %d:\n%s" % (checkout, p.returncode, p.stderr[-2000:]))
@@ -72,9 +74,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
@@ -88,20 +88,19 @@ def main(argv=None) -> int:
                 "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                          "machine": platform.machine()}})
     pairs = []
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         seed = args.first_seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         pair = {"seed": seed, "order": order}
         for side in order:
-            pair[side] = _run(sides[side], args.workload, seed, args.seconds, trace=False)
+            pair[side] = _run(sides[side], args.workload, seed, trace=False)
         pairs.append(pair)
         print("bench_ab: %s pair %d seed %d wall_s parent %.3f change %.3f" % (
             args.workload, i + 1, seed, pair["parent"]["metrics"]["wall_s"],
             pair["change"]["metrics"]["wall_s"]), file=sys.stderr, flush=True)
-    entry = {"seconds": args.seconds, "pairs": pairs, "summary": _summary(pairs)}
+    entry = {"pairs": pairs, "summary": _summary(pairs)}
     if args.trace:
-        entry["trace"] = {side: _run(sides[side], args.workload, args.first_seed, args.seconds,
-                                     trace=True) for side in ("parent", "change")}
+        entry["trace"] = {side: _run(sides[side], args.workload, args.first_seed, trace=True) for side in ("parent", "change")}
     doc.setdefault("workloads", {})[args.workload] = entry
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
