@@ -7,11 +7,12 @@ arithmetic.
 
 Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
-bracket, summing the f side over its derivative orders first so that
-each (lambda+d)^n of the g side runs once.  bracket_recursive reduces
-arguments step by step through sesquilinearity, skew-symmetry and the
-product rule, bottoming out at the generator bracket.  They must agree
-everywhere; the verification suites compare them case by case.
+bracket in three stages (the f side, the generator bracket, the g side),
+each getting all its powers of (lambda+d) from one derivative chain per
+coefficient.  bracket_recursive reduces arguments step by step through
+sesquilinearity, skew-symmetry and the product rule, bottoming out at
+the generator bracket.  They must agree everywhere; the verification
+suites compare them case by case.
 
 Inside a bracket_memo() context, bracket_master remembers its results,
 keyed on both arguments' terms (coefficients included) and the charge;
@@ -47,16 +48,29 @@ class LambdaPoly(Sparse):
         return LambdaPoly._nonzero({k + m: p * s for k, p in self.terms.items()})
 
     def shift_apply(self, m: int, sign: int = 1) -> "LambdaPoly":
-        """Apply (sign*(lambda + d))^m: lambda^j P -> sum_k C(m,k) lambda^(j+m-k) d^k P."""
-        s = -1 if (sign < 0 and m % 2) else 1
-        out: dict = {}
+        """Apply (sign*(lambda + d))^m."""
+        return self.shifts((m,), sign)[m]
+
+    def shifts(self, ms, sign: int = 1) -> dict[int, "LambdaPoly"]:
+        """{m: (sign*(lambda + d))^m self} for every m in ms, in ascending m.
+
+        lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
+        coefficient's derivative chain runs once, up to max(ms), and each
+        d^k P enters every m >= k.
+        """
+        rows = [(m, [(-1 if sign < 0 and m % 2 else 1) * comb(m, k) for k in range(m + 1)], {})
+                for m in sorted(set(ms), reverse=True)]
+        top = rows[0][0] if rows else -1
         for j, p in self.terms.items():
-            for k in range(m + 1):
-                c = s * comb(m, k)
-                acc(out, j + m - k, p if c == 1 else p * c)
-                if k == m or not (p := p.derive()):
+            for k in range(top + 1):
+                for m, row, out in rows:
+                    if m < k:
+                        break
+                    c = row[k]
+                    acc(out, j + m - k, p if c == 1 else p.scale(c))
+                if k == top or not (p := p.derive()):
                     break
-        return LambdaPoly(out)
+        return {m: LambdaPoly(out) for m, _, out in reversed(rows)}
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d (the derivative acting on the
@@ -131,24 +145,22 @@ def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
 def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     """The master formula behind bracket_master, uncached.
 
-    Everything right of the partial of g is linear in the f side, so the
-    sum over the derivative orders m of f is taken first: push the
-    partial of f at each order m through (-lambda-d)^m and add.  That
-    one sum is hit with the right-acting shifted generator bracket once;
-    then, for each derivative order n of g, apply (lambda+d)^n and
-    multiply by the partial of g at order n.
+    Three stages, each linear in the one before: the f side
+    sum_m (-lambda-d)^m df/du^(m), the partials of f keyed by order put
+    through lambda -> -lambda-d; the generator bracket c_p lambda^p acting
+    on it from the right as sum_p c_p (lambda+d)^p; the g side
+    sum_n dg/du^(n) (lambda+d)^n.  The last two take every power they
+    need from one shifts() call: one derivative chain per coefficient.
     """
-    base: dict = {}
-    for m in sorted(f.orders_present()):
-        for k, p in LambdaPoly.of(f.partial_wrt(m)).shift_apply(m, -1).terms.items():
-            acc(base, k, p)
-    base = LambdaPoly(base)
-    mid = LambdaPoly.zero()
-    for p, v in gen_bracket(ctx).terms.items():
-        mid = mid + base.shift_apply(p, 1).scale(v)
+    base = LambdaPoly({m: f.partial_wrt(m) for m in f.orders_present()}).subst_neg_shift()
+    gb = gen_bracket(ctx).terms
+    mid = sum((sh.scale(gb[p]) for p, sh in base.shifts(gb).items()), LambdaPoly.zero())
+    shifted = mid.shifts(g.orders_present())
     total: dict = {}
-    for n in sorted(g.orders_present()):
-        for k, pp in mid.shift_apply(n, 1).scale(g.partial_wrt(n)).terms.items():
+    while shifted:
+        # Largest power first, each freed once used: keeps peak memory low.
+        n, sh = shifted.popitem()
+        for k, pp in sh.scale(g.partial_wrt(n)).terms.items():
             acc(total, k, pp)
     return LambdaPoly(total)
 

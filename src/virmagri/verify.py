@@ -391,11 +391,15 @@ def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
         lhs = bracket_master(fa, fb.derive(), ctx)
         rhs = base.shift_apply(1, 1)
         # The binomial form of shift_apply must compose like the operator
-        # power; a failure records the sides of whichever check failed.
+        # power, and the multi-order shifts must agree with it order by
+        # order; a failure records the sides of whichever check failed.
         for s in (1, -1):
             if lhs != rhs:
                 break
-            lhs, rhs = base.shift_apply(3, s), base.shift_apply(1, s).shift_apply(2, s)
+            one, three = base.shift_apply(1, s), base.shift_apply(3, s)
+            lhs, rhs = three, one.shift_apply(2, s)
+            if lhs == rhs:
+                lhs, rhs = base.shifts((1, 2, 3), s), {1: one, 2: base.shift_apply(2, s), 3: three}
         rep.record("sesquilinearity-right", "a=%s, b=%s" % (_fmt_mono(a), _fmt_mono(b)),
                    lhs == rhs, lhs, rhs)
     return rep

@@ -105,6 +105,24 @@ def test_sesquilinearity_failure_shows_the_composition_sides(monkeypatch):
         assert r.lhs != r.rhs
 
 
+def test_sesquilinearity_compares_shifts_with_shift_apply(monkeypatch):
+    # Wrong only at order 2 of the sweep's own multi-order call; the
+    # brackets never ask for exactly these orders.
+    shifts = LambdaPoly.shifts
+
+    def broken(self, ms, sign=1):
+        out = shifts(self, ms, sign)
+        if tuple(ms) == (1, 2, 3):
+            out[2] = out[2] + LambdaPoly.of(DiffPoly.one())
+        return out
+
+    monkeypatch.setattr(LambdaPoly, "shifts", broken)
+    for r in _folded_failures("sesquilinearity", "sesquilinearity-right"):
+        assert r.lhs != r.rhs
+    assert not [r for r in CHECKS["sesquilinearity"](SMALL, AlgebraCtx(0)).failures()
+                if r.identity != "sesquilinearity-right"]
+
+
 def test_pjind_failure_shows_the_column_composition_sides(monkeypatch):
     p_i_ind = verify.p_i_ind
     monkeypatch.setattr(verify, "p_i_ind", lambda e, i: p_i_ind(e, i).scale(2))

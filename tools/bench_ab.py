@@ -12,7 +12,8 @@ alike.  Standard library only; one perfbench run at a time.
         --workload verify-all --first-seed 11 --trace --out BENCH_pr6.json
 
 Runs of other workloads already in --out are kept, so one file collects
-every workload of a change.  With --trace, one `--trace 1` run per side
+every workload of a change; an --out recorded for other commits is
+refused before any run.  With --trace, one `--trace 1` run per side
 follows the pairs and its per-layer metrics are stored as they are.
 """
 
@@ -80,13 +81,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
+    commits = {"parent_commit": _commit(args.parent), "change_commit": _commit(args.change)}
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc.update({"parent_commit": _commit(args.parent), "change_commit": _commit(args.change),
-                "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                         "machine": platform.machine()}})
+        # The rows already there were measured on the recorded commits;
+        # new rows from other commits would relabel them.
+        recorded = {k: doc.get(k) for k in commits}
+        if recorded != commits:
+            raise SystemExit("bench_ab: %s records parent %s and change %s, not %s and %s; "
+                             "write the runs to another --out" % (
+                                 args.out, recorded["parent_commit"], recorded["change_commit"],
+                                 commits["parent_commit"], commits["change_commit"]))
+    doc.update(commits, host={"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                              "machine": platform.machine()})
     pairs = []
     for i in range(PAIRS):
         seed = args.first_seed + i
