@@ -378,7 +378,7 @@ def _check_jacobi(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     return rep
 
 
-@_register("sesquilinearity", "brackets", max_deg=10)  # 10: 3.3 s, 11: 5.3 s
+@_register("sesquilinearity", "brackets", max_deg=10)  # 10: 4.5 s, 11: 9.5 s
 def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
     rep = CheckReport()
     for a, b in _mono_pairs_total(bounds.deg(8)):

@@ -29,7 +29,7 @@ def _fake_run(runs):
     return run
 
 
-def test_refuses_an_out_recorded_for_other_commits(tmp_path, monkeypatch, capsys):
+def test_refuses_an_out_recorded_for_other_commits(tmp_path, monkeypatch):
     a, b = _repo(tmp_path / "a"), _repo(tmp_path / "b")
     out = tmp_path / "BENCH.json"
     rows = {"parent_commit": a, "change_commit": a, "workloads": {"verify-all": {"pairs": []}}}

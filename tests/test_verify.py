@@ -107,12 +107,12 @@ def test_sesquilinearity_failure_shows_the_composition_sides(monkeypatch):
 
 def test_sesquilinearity_compares_shifts_with_shift_apply(monkeypatch):
     # Wrong only at order 2 of the sweep's own multi-order call; the
-    # brackets never ask for exactly these orders.
+    # brackets pass their orders as a set or a dict, never as this tuple.
     shifts = LambdaPoly.shifts
 
     def broken(self, ms, sign=1):
         out = shifts(self, ms, sign)
-        if tuple(ms) == (1, 2, 3):
+        if ms == (1, 2, 3):
             out[2] = out[2] + LambdaPoly.of(DiffPoly.one())
         return out
 
