@@ -51,6 +51,6 @@ from .nilcoxeter import (
 )
 from .partitions import Partition, partitions_of, partitions_upto, standard_tableaux_count
 from .report import CheckRecord, CheckReport
-from .zhu import q_map, verify_zhu_diagrams, zhu_h, zhu_poisson_bracket
+from .zhu import q_map, zhu_h, zhu_poisson_bracket
 
 __version__ = "0.1.0"

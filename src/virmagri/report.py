@@ -21,17 +21,14 @@ class CheckReport:
     formatted sides as the counterexample.
     """
 
-    def __init__(self):
-        self.records: list[CheckRecord] = []
+    def __init__(self, records: list[CheckRecord] | None = None):
+        self.records: list[CheckRecord] = [] if records is None else records
 
     def record(self, identity: str, case: str, ok: bool, lhs="", rhs="") -> None:
         if ok:
             self.records.append(CheckRecord(identity, case, True))
         else:
             self.records.append(CheckRecord(identity, case, False, str(lhs), str(rhs)))
-
-    def extend(self, other: "CheckReport") -> None:
-        self.records.extend(other.records)
 
     @property
     def ok(self) -> bool:

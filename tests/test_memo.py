@@ -57,20 +57,21 @@ def test_registry_opens_one_memo_per_check(monkeypatch, formula_calls):
     monkeypatch.setattr(verify, "GROUP_OF", dict(verify.GROUP_OF))
     seen = []
 
+    # The probes are generators, as every check is: seen == [True] holds
+    # only if the harness runs the generator inside the memo.
     @verify._register("memo-probe", "brackets")
     def probe(bounds, ctx):
         seen.append(brackets._memo is not None)
-        bracket_master(L, L, ctx)
-        bracket_master(L, L, ctx)
-        return verify.CheckReport()
+        yield "memo-probe", "L, L", bracket_master(L, L, ctx), bracket_master(L, L, ctx)
 
     @verify._register("memo-raise", "brackets")
     def raises(bounds, ctx):
-        bracket_master(L, L, ctx)
+        yield "memo-raise", "L", bracket_master(L, L, ctx), None, True
         raise RuntimeError("boom")
 
-    verify.CHECKS["memo-probe"](SMALL, C1)
+    rep = verify.CHECKS["memo-probe"](SMALL, C1)
     assert seen == [True] and len(formula_calls) == 1
+    assert rep.ok and len(rep.records) == 1
     assert brackets._memo is None
     with pytest.raises(RuntimeError):
         verify.CHECKS["memo-raise"](SMALL, C1)

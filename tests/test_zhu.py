@@ -17,11 +17,11 @@ from virmagri import (
     pj_ind,
     q_map,
     res_k0n,
-    verify_zhu_diagrams,
     zhu_h,
     zhu_poisson_bracket,
 )
 from virmagri.report import CheckReport
+from virmagri.verify import CHECKS, Bounds
 
 C0 = AlgebraCtx(0)
 C1 = AlgebraCtx(1)
@@ -80,7 +80,7 @@ def test_zhu_poisson_bracket_is_trivial(f, g):
 
 def test_diagram_sweep_passes_at_both_charges():
     for ctx in (C0, C1):
-        rep = verify_zhu_diagrams(4, 6, ctx)
+        rep = CHECKS["zhu-diagrams"](Bounds(max_j=4, max_n=6), ctx)
         assert rep.ok
         names = set(rep.identities())
         assert {"zhu-multiplication", "q-multiplication", "zhu-derivative",
@@ -89,7 +89,7 @@ def test_diagram_sweep_passes_at_both_charges():
 
 
 def test_diagram_report_is_json_serializable():
-    rep = verify_zhu_diagrams(2, 4, C0)
+    rep = CHECKS["zhu-diagrams"](Bounds(max_j=2, max_n=4), C0)
     blob = json.dumps(rep.to_jsonable(include_passes=True))
     data = json.loads(blob)
     assert data["ok"] is True
