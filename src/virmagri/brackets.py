@@ -81,18 +81,12 @@ class LambdaPoly(Sparse):
                 acc(out, kk, pp)
         return LambdaPoly(out)
 
-    def __str__(self):
-        from .text import format_lambdapoly
-
-        return format_lambdapoly(self)
-
-    __repr__ = __str__
-
 
 class BiLambdaPoly(Sparse):
     """Finite map from (lambda exponent, mu exponent) to DiffPoly."""
 
     __slots__ = ()
+    __repr__ = object.__repr__  # no text form
 
     def coeff(self, i: int, j: int) -> DiffPoly:
         return self.terms.get((i, j), DiffPoly.zero())

@@ -129,10 +129,3 @@ class DiffPoly(Sparse):
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in display order: higher degree first, then lexicographic."""
         return sorted(self.terms.items(), key=lambda kv: (mono_degree(kv[0]), kv[0]), reverse=True)
-
-    def __str__(self):
-        from .text import format_diffpoly
-
-        return format_diffpoly(self)
-
-    __repr__ = __str__

@@ -34,13 +34,6 @@ class K0SigmaElem(Sparse):
     def sorted_terms(self) -> list[tuple[Partition, int]]:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].size, kv[0].parts), reverse=True)
 
-    def __str__(self):
-        from .text import format_k0sigma
-
-        return format_k0sigma(self)
-
-    __repr__ = __str__
-
 
 def _linear(e: K0SigmaElem, on_basis) -> K0SigmaElem:
     """Extend a basis-level map (Partition -> K0SigmaElem) linearly."""

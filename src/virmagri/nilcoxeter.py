@@ -41,13 +41,6 @@ class _IntBasisElem(Sparse):
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
 
-    def __str__(self):
-        from .text import format_kn
-
-        return format_kn(self)
-
-    __repr__ = __str__
-
 
 class K0NElem(_IntBasisElem):
     """Combination of projective classes [N_n]; [N_0] is the product unit."""
@@ -121,13 +114,6 @@ class XPoly(Sparse):
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)
 
-    def __str__(self):
-        from .text import format_xpoly
-
-        return format_xpoly(self)
-
-    __repr__ = __str__
-
 
 def phi_n(e: K0NElem) -> XPoly:
     """The polynomial realization [N_n] -> x^n."""
@@ -178,13 +164,6 @@ class WeylElem(Sparse):
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]), reverse=True)
-
-    def __str__(self):
-        from .text import format_weyl
-
-        return format_weyl(self)
-
-    __repr__ = __str__
 
 
 class IndResExpr(Sparse):

@@ -98,3 +98,8 @@ class Sparse:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def __repr__(self):
+        from .text import format_value  # text imports every value type
+
+        return format_value(self)

@@ -22,6 +22,9 @@ Formatters emit canonical order (monomial factors in weakly decreasing
 derivative order, lambda powers ascending, everything else by degree);
 parsers accept any term order and report the character position of the
 first offending token.
+
+format_value(v) and to_jsonable(v) give the text form and the JSON payload
+of any printed value, from one table of the printed types.
 """
 
 from __future__ import annotations
@@ -388,3 +391,46 @@ def parse_k0lambda(text: str) -> dict[int, K0SigmaElem]:
 
 def format_k0lambda(coeffs: dict[int, K0SigmaElem]) -> str:
     return _format_lambda_terms({k: v for k, v in coeffs.items() if v}, format_k0sigma)
+
+
+# -------------------------------------------------------------- any value
+
+def _json_terms(key_json):
+    """JSON terms of a signed sum: key_json(key)'s fields, then "c"."""
+    return lambda v: [{**key_json(k), "c": c} for k, c in v.sorted_terms()]
+
+
+def _lambda_json(coeffs: dict, coeff_json) -> list:
+    return [{"lam": k, "coeff": coeff_json(coeffs[k])} for k in sorted(coeffs)]
+
+
+_diffpoly_json = _json_terms(lambda m: {"mono": list(m)})
+_k0sigma_json = _json_terms(lambda p: {"partition": list(p.parts)})
+_kn_json = _json_terms(lambda n: {"n": n})
+
+# Every printed type: its text form, its JSON type name and its JSON terms
+# (None for a bare "value").  A dict is the transported bracket of
+# lambda_bracket_k0.
+_TYPES = {
+    int: (str, "int", None),
+    DiffPoly: (format_diffpoly, "diffpoly", _diffpoly_json),
+    LambdaPoly: (format_lambdapoly, "lambdapoly", lambda P: _lambda_json(P.terms, _diffpoly_json)),
+    K0SigmaElem: (format_k0sigma, "k0sigma", _k0sigma_json),
+    dict: (format_k0lambda, "lambdapoly-k0", lambda d: _lambda_json(d, _k0sigma_json)),
+    K0NElem: (format_kn, "k0n", _kn_json),
+    G0NElem: (format_kn, "g0n", _kn_json),
+    XPoly: (format_xpoly, "xpoly", _json_terms(lambda n: {"pow": n})),
+    WeylElem: (format_weyl, "weyl", _json_terms(lambda key: {"x": key[0], "d": key[1]})),
+}
+
+
+def format_value(v) -> str:
+    """The text form of any printed value."""
+    return _TYPES[type(v)][0](v)
+
+
+def to_jsonable(v) -> dict:
+    """The JSON payload of any printed value: {"type": name, "terms": [...]},
+    or {"type": "int", "value": n} for an integer."""
+    _, name, terms = _TYPES[type(v)]
+    return {"type": name, "value": v} if terms is None else {"type": name, "terms": terms(v)}

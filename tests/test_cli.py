@@ -4,7 +4,7 @@ import shlex
 import time
 
 from helpers import syt_by_hooks
-from virmagri import DiffPoly, WeylElem, XPoly
+from virmagri import DiffPoly, IndResExpr, WeylElem, XPoly
 from virmagri.cli import MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
@@ -123,6 +123,17 @@ def test_quantize_refuses_long_words_fast(capsys):
         assert err.startswith("domain error: quantize takes") and "Traceback" not in err
     assert run(capsys, "quantize", "L^2") == (0, "x^6 D^2 + 3 x^5 D", "")
     assert run(capsys, "quantize", "[1,1]")[:2] == (0, "x^6 D^2 + 3 x^5 D")
+
+
+def test_quantize_on_a_class_takes_the_polynomial_route(capsys, monkeypatch):
+    want = run(capsys, "quantize", "d1L L^2")
+    assert want[0] == 0 and want[1]
+
+    def unused(self):
+        raise AssertionError("quantize on a class goes through psi2(phi_sigma(e))")
+
+    monkeypatch.setattr(IndResExpr, "to_weyl", unused)
+    assert run(capsys, "quantize", "[2,1,1]") == want
 
 
 def test_dangling_star_is_a_parse_error(capsys):

@@ -1,11 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import diffpoly_st, partition_st
 from virmagri import (
     AlgebraCtx,
+    BiLambdaPoly,
     DiffPoly,
     G0NElem,
+    IndResExpr,
     K0NElem,
     K0SigmaElem,
     LambdaPoly,
@@ -13,6 +17,7 @@ from virmagri import (
     WeylElem,
     XPoly,
     bracket_master,
+    lambda_bracket_k0,
 )
 from virmagri.errors import ParseError
 from virmagri.text import (
@@ -22,6 +27,7 @@ from virmagri.text import (
     format_kn,
     format_lambdapoly,
     format_partition,
+    format_value,
     format_weyl,
     format_xpoly,
     parse_diffpoly,
@@ -32,6 +38,7 @@ from virmagri.text import (
     parse_partition,
     parse_weyl,
     parse_xpoly,
+    to_jsonable,
 )
 
 L = DiffPoly.gen(0)
@@ -233,3 +240,63 @@ def test_parse_errors_report_the_offending_position(parse, text, pos):
         parse(text)
     assert e.value.pos == pos
     assert "at position %d" % pos in str(e.value)
+
+
+def _printed_values():
+    """(value, README JSON type name, parser) for one nonzero and one zero
+    value of each printed type."""
+    k0 = lambda_bracket_k0(K0SigmaElem.basis((2,)), K0SigmaElem.basis((1,)), AlgebraCtx(1))
+    kn = lambda text: parse_kn(text)[1]
+    return [
+        (3 * L * dL ** 2 - DiffPoly.gen(4), "diffpoly", parse_diffpoly),
+        (DiffPoly(), "diffpoly", parse_diffpoly),
+        (bracket_master(L, dL, AlgebraCtx(-2)), "lambdapoly", parse_lambdapoly),
+        (LambdaPoly(), "lambdapoly", parse_lambdapoly),
+        (K0SigmaElem({Partition((3, 1)): 2, Partition(()): -1}), "k0sigma", parse_k0sigma),
+        (K0SigmaElem(), "k0sigma", parse_k0sigma),
+        (k0, "lambdapoly-k0", parse_k0lambda),
+        ({}, "lambdapoly-k0", parse_k0lambda),
+        (K0NElem({3: 2, 0: -1}), "k0n", kn),
+        (K0NElem(), "k0n", kn),
+        (G0NElem({4: 1, 1: -5}), "g0n", kn),
+        (G0NElem(), "g0n", kn),
+        (XPoly({2: 1, 0: 7}), "xpoly", parse_xpoly),
+        (XPoly(), "xpoly", parse_xpoly),
+        (WeylElem({(6, 2): 1, (5, 1): 3, (0, 0): -2}), "weyl", parse_weyl),
+        (WeylElem(), "weyl", parse_weyl),
+        (768, "int", int),
+        (0, "int", int),
+    ]
+
+
+def test_value_writer_covers_every_printed_type():
+    for v, name, parse in _printed_values():
+        text = format_value(v)
+        if not isinstance(v, dict):  # the k0 bracket is a plain dict
+            assert repr(v) == str(v) == text
+        assert to_jsonable(v)["type"] == name
+        back = parse(text)
+        if type(v) is G0NElem and not v:
+            # A bare 0 names no class kind and reads as the zero [N..] sum.
+            assert back == K0NElem()
+        else:
+            assert back == v and type(back) is type(v), (name, text)
+
+
+def test_value_writer_json_terms():
+    assert to_jsonable(768) == {"type": "int", "value": 768}
+    assert to_jsonable(K0NElem())["terms"] == []
+    assert to_jsonable({})["terms"] == []
+    assert to_jsonable(WeylElem({(6, 2): 1, (0, 0): -2}))["terms"] == [
+        {"x": 6, "d": 2, "c": 1}, {"x": 0, "d": 0, "c": -2}]
+    assert to_jsonable(K0SigmaElem({Partition((3, 1)): 2}))["terms"] == [
+        {"partition": [3, 1], "c": 2}]
+
+
+def test_reprs_without_a_text_form_are_unchanged():
+    w = IndResExpr.word("IIR", 2) + IndResExpr.identity() + IndResExpr.word("RI", -1)
+    assert repr(w) == str(w) == "2*IndIndRes + -1*ResInd + Id"
+    assert repr(IndResExpr()) == "0"
+    b = BiLambdaPoly({(1, 2): L})
+    assert re.fullmatch(r"<virmagri\.brackets\.BiLambdaPoly object at 0x[0-9a-f]+>", repr(b))
+    assert str(b) == repr(b)
