@@ -479,11 +479,11 @@ PINNED_OUTPUTS = {
 def _cli_digests(capsys):
     got = {}
     for argv in _PINNED_ARGV:
-        for argv in (argv, argv + ["--format", "json"]):
-            code = main(argv)
+        for call in (argv, argv + ["--format", "json"]):
+            code = main(call)
             out = capsys.readouterr()
             blob = json.dumps([code, out.out, out.err])
-            got[shlex.join(argv)] = hashlib.sha256(blob.encode()).hexdigest()
+            got[shlex.join(call)] = hashlib.sha256(blob.encode()).hexdigest()
     return got
 
 
