@@ -9,14 +9,21 @@ Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
 bracket in three stages (the f side, the generator bracket, the g side),
 each getting all its powers of (lambda+d) from one derivative chain per
-coefficient.  bracket_recursive reduces arguments step by step through
-sesquilinearity, skew-symmetry and the product rule, bottoming out at
-the generator bracket.  They must agree everywhere; the verification
-suites compare them case by case.
+coefficient (LambdaPoly.shifts and subst_neg_shift).  bracket_recursive
+reduces arguments step by step through the product rule and
+skew-symmetry down to pairs of single generators, whose bracket
+(-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by term; its
+leaf and its skew flip are its own code, so a fault in the LambdaPoly
+shift methods cannot reach both sides.  They must agree everywhere; the
+verification suites compare them case by case.
+
+Both build each lambda power's coefficient as one plain {monomial: int}
+dict, adding every term into it in place, and wrap it once at the end.
 
 Inside a bracket_memo() context, bracket_master remembers its results,
 keyed on both arguments' terms (coefficients included) and the charge;
-outside one it computes every call.  bracket_recursive is never cached.
+outside one it computes every call.  bracket_recursive brackets each
+monomial pair once per call and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -56,30 +63,72 @@ class LambdaPoly(Sparse):
 
         lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
         coefficient's derivative chain runs once, up to max(ms), and each
-        d^k P enters every m >= k.
+        d^k P is added, scaled, straight into the sum of every m >= k.
         """
         rows = [(m, [(-1 if sign < 0 and m % 2 else 1) * comb(m, k) for k in range(m + 1)], {})
                 for m in sorted(set(ms), reverse=True)]
         top = rows[0][0] if rows else -1
         for j, p in self.terms.items():
             for k in range(top + 1):
-                for m, row, out in rows:
+                for m, row, sums in rows:
                     if m < k:
                         break
-                    c = row[k]
-                    acc(out, j + m - k, p if c == 1 else p.scale(c))
+                    _add_into(sums, j + m - k, p.terms, row[k])
                 if k == top or not (p := p.derive()):
                     break
-        return {m: LambdaPoly(out) for m, _, out in reversed(rows)}
+        return {m: _wrap(sums) for m, _, sums in reversed(rows)}
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d (the derivative acting on the
-        coefficient it lands on)."""
-        out: dict = {}
+        coefficient it lands on): lambda^k P goes to
+        sum_r (-1)^k C(k,r) lambda^(k-r) d^r P."""
+        sums: dict = {}
         for k, p in self.terms.items():
-            for kk, pp in LambdaPoly.of(p).shift_apply(k, -1).terms.items():
-                acc(out, kk, pp)
-        return LambdaPoly(out)
+            s = -1 if k % 2 else 1
+            for r in range(k + 1):
+                _add_into(sums, k - r, p.terms, s * comb(k, r))
+                if r == k or not (p := p.derive()):
+                    break
+        return _wrap(sums)
+
+
+def _add_into(sums: dict, k, terms: dict, c: int) -> None:
+    """sums[k] += c * terms, sums[k] being a plain {monomial: int} dict
+    that is built in place and may hold zeros until _wrap."""
+    d = sums.get(k)
+    if d is None:
+        sums[k] = {m: c * v for m, v in terms.items()} if c != 1 else dict(terms)
+        return
+    get = d.get
+    for m, v in terms.items():
+        d[m] = get(m, 0) + c * v
+
+
+def _add_product_into(sums: dict, k, terms: dict, other: dict) -> None:
+    """sums[k] += the product of two polynomials' terms, as in _add_into."""
+    d = sums.get(k)
+    if d is None:
+        sums[k] = d = {}
+    get = d.get
+    for m2, c2 in other.items():
+        for m1, c1 in terms.items():
+            m = tuple(sorted(m1 + m2, reverse=True)) if m2 else m1
+            d[m] = get(m, 0) + c1 * c2
+
+
+def _wrap(sums: dict) -> LambdaPoly:
+    """The lambda polynomial of {power: {monomial: int}} sums built in
+    place: each dict is wrapped as it is, its zeros deleted, not copied."""
+    for k in list(sums):
+        d = sums[k]
+        if 0 in d.values():
+            for m in [m for m, c in d.items() if not c]:
+                del d[m]
+        if d:
+            sums[k] = DiffPoly._nonzero(d)
+        else:
+            del sums[k]
+    return LambdaPoly._nonzero(sums)
 
 
 class BiLambdaPoly(Sparse):
@@ -144,52 +193,97 @@ def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     through lambda -> -lambda-d; the generator bracket c_p lambda^p acting
     on it from the right as sum_p c_p (lambda+d)^p; the g side
     sum_n dg/du^(n) (lambda+d)^n.  The last two take every power they
-    need from one shifts() call: one derivative chain per coefficient.
+    need from one shifts() call, one derivative chain per coefficient, and
+    multiply each term straight into the sum of its lambda power.
     """
     base = LambdaPoly({m: f.partial_wrt(m) for m in f.orders_present()}).subst_neg_shift()
     gb = gen_bracket(ctx).terms
-    mid = sum((sh.scale(gb[p]) for p, sh in base.shifts(gb).items()), LambdaPoly.zero())
-    shifted = mid.shifts(g.orders_present())
-    total: dict = {}
+    sums: dict = {}
+    for p, sh in base.shifts(gb).items():
+        for k, q in sh.terms.items():
+            _add_product_into(sums, k, q.terms, gb[p].terms)
+    shifted = _wrap(sums).shifts(g.orders_present())
+    sums = {}
     while shifted:
         # Largest power first, each freed once used: keeps peak memory low.
         n, sh = shifted.popitem()
-        for k, pp in sh.scale(g.partial_wrt(n)).terms.items():
-            acc(total, k, pp)
-    return LambdaPoly(total)
+        dg = g.partial_wrt(n).terms
+        for k, q in sh.terms.items():
+            _add_product_into(sums, k, q.terms, dg)
+    return _wrap(sums)
 
 
-def _mono_bracket(a: tuple, b: tuple, ctx: AlgebraCtx) -> LambdaPoly:
-    # Unit on either side brackets to zero.
+def _leaf(i: int, j: int, ctx: AlgebraCtx) -> LambdaPoly:
+    """{d^iL_lam d^jL} = (-lam)^i (lam+d)^j {L_lam L}, written out term by
+    term: (lam+d)^j is sum_k C(j,k) lam^(j-k) d^k, and d^k takes d1L to
+    d(k+1)L, L to dkL and the central constant to zero for k > 0."""
+    s = -1 if i % 2 else 1
+    sums: dict = {}
+    for k in range(j + 1):
+        b = s * comb(j, k)
+        _add_into(sums, i + j - k, {(k + 1,): 1}, b)
+        _add_into(sums, i + j - k + 1, {(k,): 2}, b)
+    if ctx.central_charge:
+        _add_into(sums, i + j + 3, {(): ctx.central_charge}, s)
+    return _wrap(sums)
+
+
+def _flip(br: LambdaPoly) -> LambdaPoly:
+    """-br with lambda -> -lambda-d, by its own binomial loop: skew-symmetry
+    takes {b_lam a} to {a_lam b}."""
+    sums: dict = {}
+    for k, p in br.terms.items():
+        s = 1 if k % 2 else -1
+        for r in range(k + 1):
+            _add_into(sums, k - r, p.terms, s * comb(k, r))
+            if r == k or not (p := p.derive()):
+                break
+    return _wrap(sums)
+
+
+def _mono_bracket(a: tuple, b: tuple, ctx: AlgebraCtx, memo: dict) -> LambdaPoly:
+    """{a_lam b} for two monomials, remembered in memo, which lives for
+    one bracket_recursive call."""
+    br = memo.get((a, b))
+    if br is not None:
+        return br
     if not a or not b:
-        return LambdaPoly.zero()
-    if len(b) > 1:
+        # Unit on either side brackets to zero.
+        br = LambdaPoly.zero()
+    elif len(b) > 1:
         # Product rule on the right argument.
-        head, rest = (b[0],), b[1:]
-        left = _mono_bracket(a, head, ctx).scale(DiffPoly.monomial(rest))
-        right = _mono_bracket(a, rest, ctx).scale(DiffPoly.monomial(head))
-        return left + right
-    if len(a) == 1:
+        head, rest = b[:1], b[1:]
+        sums: dict = {}
+        for x, y in ((head, {rest: 1}), (rest, {head: 1})):
+            for k, p in _mono_bracket(a, x, ctx, memo).terms.items():
+                _add_product_into(sums, k, p.terms, y)
+        br = _wrap(sums)
+    elif len(a) == 1:
         # Sesquilinearity in both slots, down to the generator bracket.
-        return gen_bracket(ctx).shift_apply(b[0], 1).lambda_shift(a[0], -1)
-    # Composite left argument against a single generator: flip by
-    # skew-symmetry, which puts the composite on the right.
-    return -(_mono_bracket(b, a, ctx).subst_neg_shift())
+        br = _leaf(a[0], b[0], ctx)
+    else:
+        # Composite left argument against a single generator: flip by
+        # skew-symmetry, which puts the composite on the right.
+        br = _flip(_mono_bracket(b, a, ctx, memo))
+    memo[(a, b)] = br
+    return br
 
 
 def bracket_recursive(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     """Same bracket as bracket_master, computed by axiom-by-axiom reduction.
 
-    Serves as an independent oracle: it shares no code path with the
-    closed-form evaluator beyond the generator bracket itself.
+    Serves as an independent oracle: its generator bracket, its shifts
+    and its skew flip are its own, and it calls none of the LambdaPoly
+    shift methods bracket_master runs.  Monomial pairs met twice within
+    one call are bracketed once; nothing is kept between calls.
     """
-    out: dict = {}
+    memo: dict = {}
+    sums: dict = {}
     for fm, fc in f.terms.items():
         for gm, gc in g.terms.items():
-            t = _mono_bracket(fm, gm, ctx).scale(fc * gc)
-            for k, p in t.terms.items():
-                acc(out, k, p)
-    return LambdaPoly(out)
+            for k, p in _mono_bracket(fm, gm, ctx, memo).terms.items():
+                _add_into(sums, k, p.terms, fc * gc)
+    return _wrap(sums)
 
 
 def nth_product(f: DiffPoly, g: DiffPoly, n: int, ctx: AlgebraCtx) -> DiffPoly:

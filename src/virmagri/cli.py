@@ -8,9 +8,9 @@ polynomial.  Exit codes: 0 ok, 1 verification failure, 2 parse error,
 
 The _VERBS table gives each verb its handler, positionals and help;
 build_parser reads it.  A handler returns the value it computed, and
-_render gives its text, JSON payload and exit code: text.format_value and
-text.to_jsonable for an algebra value or an int, the summary and the
-counterexamples for a CheckReport.
+_render gives its output in the one format asked for, and the exit code:
+text.format_value or text.to_jsonable for an algebra value or an int, the
+summary and the counterexamples or the JSON records for a CheckReport.
 """
 
 from __future__ import annotations
@@ -63,7 +63,9 @@ def _operand_kind(text: str) -> str:
 # bracket through (lambda+d)^n.  Up to this order each has at most 902
 # digits, well inside Python's 4,300-digit str() limit.  The bracket of
 # L with d3000L takes about 1.5 s on a 2-core x86 host, and the time
-# grows faster than the square of the order: d7000L takes 12 s.
+# grows faster than the square of the order: d7000L takes 12 s.  Every
+# other verb that reads a polynomial operand takes the same limit, so no
+# verb accepts an order the bracket would refuse.
 MAX_ORDER = 3000
 
 
@@ -121,7 +123,7 @@ def _run_mul(args, ctx):
         if ka != kb:
             raise DomainError("cannot multiply [N..] and [L..] classes")
         return ea * eb
-    return parse_diffpoly(args.a) * parse_diffpoly(args.b)
+    return _bounded(parse_diffpoly(args.a)) * _bounded(parse_diffpoly(args.b))
 
 
 def _branching(on_k0n, on_g0n, on_sigma):
@@ -153,7 +155,7 @@ def _run_phi(args, ctx):
         return phi_n(e)
     if kind == "k0":
         return phi_sigma(parse_k0sigma(args.a))
-    return phi_sigma_inv(parse_diffpoly(args.a))
+    return phi_sigma_inv(_bounded(parse_diffpoly(args.a)))
 
 
 def _run_count_syt(args, ctx):
@@ -185,7 +187,7 @@ _VERBS = {
     "nprod": (_run_nprod, "a b n",
               "n-th product of two polynomials (derivative orders at most %d)" % MAX_ORDER),
     "mul": (_run_mul, "a b", "product of two operands"),
-    "der": (lambda args, ctx: parse_diffpoly(args.a).derive(), "a",
+    "der": (lambda args, ctx: _bounded(parse_diffpoly(args.a)).derive(), "a",
             "total derivative of a polynomial"),
     "pjind": (lambda args, ctx: pj_ind(parse_k0sigma(args.e), args.j), "e j",
               "insert a row of j boxes"),
@@ -193,9 +195,9 @@ _VERBS = {
               "derivation on class combinations"),
     "ind": (_branching(ind_k0n, ind_g0n, ind_sigma), "e", "induction on a class combination"),
     "res": (_branching(res_k0n, res_g0n, res_sigma), "e", "restriction on a class combination"),
-    "zhu": (lambda args, ctx: zhu_h(parse_diffpoly(args.a)), "a",
+    "zhu": (lambda args, ctx: zhu_h(_bounded(parse_diffpoly(args.a))), "a",
             "energy projection to the x polynomial ring"),
-    "qmap": (lambda args, ctx: q_map(parse_diffpoly(args.a)), "a",
+    "qmap": (lambda args, ctx: q_map(_bounded(parse_diffpoly(args.a))), "a",
              "quotient map to the x polynomial ring"),
     "quantize": (_run_quantize, "a",
                  "normally ordered Weyl image (central charge 0 only; at most %d Ind/Res "
@@ -207,14 +209,20 @@ _VERBS = {
 }
 
 
-def _render(value):
-    """Text form, JSON payload and exit code of a handler's value."""
-    if isinstance(value, CheckReport):
-        lines = value.summary_lines() + [
-            "  counterexample [%s] %s: lhs=%s rhs=%s" % (r.identity, r.case, r.lhs, r.rhs)
-            for r in value.failures()[:20]]
-        return "\n".join(lines), {"type": "report", **value.to_jsonable()}, int(not value.ok)
-    return format_value(value), to_jsonable(value), 0
+def _render(value, args):
+    """The output of a handler's value in the format asked for, and the
+    exit code; the other format is never built."""
+    report = isinstance(value, CheckReport)
+    code = int(not value.ok) if report else 0
+    if args.format == "json":
+        payload = {"type": "report", **value.to_jsonable()} if report else to_jsonable(value)
+        return json.dumps({"verb": args.verb, "charge": args.charge, "result": payload}), code
+    if not report:
+        return format_value(value), code
+    lines = value.summary_lines() + [
+        "  counterexample [%s] %s: lhs=%s rhs=%s" % (r.identity, r.case, r.lhs, r.rhs)
+        for r in value.failures()[:20]]
+    return "\n".join(lines), code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,9 +261,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     ctx = AlgebraCtx(args.charge)
     try:
-        text, payload, code = _render(_VERBS[args.verb][0](args, ctx))
-        if args.format == "json":
-            text = json.dumps({"verb": args.verb, "charge": args.charge, "result": payload})
+        text, code = _render(_VERBS[args.verb][0](args, ctx), args)
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

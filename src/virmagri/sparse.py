@@ -62,14 +62,19 @@ class Sparse:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
-        # acc inlined: this loop is the hot path of polynomial sums, and
-        # other's coefficients are nonzero already.
+        # acc inlined: this loop is the hot path of polynomial sums.  Both
+        # sides hold no zero, so only a key the merge cancels is deleted.
         out = dict(self.terms)
         get = out.get
         for k, c in other.terms.items():
             cur = get(k)
-            out[k] = c if cur is None else cur + c
-        return type(self)(out)
+            if cur is None:
+                out[k] = c
+            elif s := cur + c:
+                out[k] = s
+            else:
+                del out[k]
+        return self._nonzero(out)
 
     def __neg__(self):
         return self._nonzero({k: -c for k, c in self.terms.items()})

@@ -13,8 +13,9 @@ The registry's one harness turns a check into a CheckReport: it runs the
 generator to its end inside the check's own bracket_memo(), so a sweep
 that meets one argument pair many times (Jacobi, Leibniz, skew) computes
 its bracket once.  The memo lives for one check, never for a whole
-suite, and the oracles (bracket_recursive, the test-suite models) are
-never cached.
+suite.  The oracles (bracket_recursive, the test-suite models) are not
+in it; bracket_recursive keeps its own memo of monomial pairs for one
+call only.
 """
 
 from __future__ import annotations
@@ -362,17 +363,29 @@ def _check_sesquilinearity(bounds: Bounds, ctx: AlgebraCtx) -> Cases:
                bracket_master(fa.derive(), fb, ctx), base.lambda_shift(1, -1))
         lhs = bracket_master(fa, fb.derive(), ctx)
         rhs = base.shift_apply(1, 1)
-        # The binomial form of shift_apply must compose like the operator
-        # power, and the multi-order shifts must agree with it order by
-        # order; a failure records the sides of whichever check failed.
+        # The binomial shift_apply and the multi-order shifts must give
+        # the powers of the operator applied one step at a time; a failure
+        # records the sides of whichever check failed.
+        steps = _stepwise_shifts(base, 3)
         for s in (1, -1):
             if lhs != rhs:
                 break
-            one, three = base.shift_apply(1, s), base.shift_apply(3, s)
-            lhs, rhs = three, one.shift_apply(2, s)
+            signed = steps if s == 1 else {m: -sh if m % 2 else sh for m, sh in steps.items()}
+            lhs, rhs = base.shift_apply(3, s), signed[3]
             if lhs == rhs:
-                lhs, rhs = base.shifts((1, 2, 3), s), {1: one, 2: base.shift_apply(2, s), 3: three}
+                lhs, rhs = base.shifts((1, 2, 3), s), signed
         yield "sesquilinearity-right", case, lhs, rhs
+
+
+def _stepwise_shifts(P: LambdaPoly, top: int) -> dict[int, LambdaPoly]:
+    """{m: (lambda + d)^m P} for m = 1..top, one single step
+    lambda^k p -> lambda^(k+1) p + lambda^k dp at a time: the model of
+    LambdaPoly.shifts, sharing none of its binomial code."""
+    out = {}
+    for m in range(1, top + 1):
+        dP = LambdaPoly({k: p.derive() for k, p in P.terms.items()})
+        P = out[m] = P.lambda_shift(1) + dP
+    return out
 
 
 @_register("bracket-leibniz", "brackets", max_deg=12)  # 12: 3.5 s, 13: 7.1 s

@@ -52,3 +52,37 @@ def test_refuses_an_out_recorded_for_other_commits(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert (doc["parent_commit"], doc["change_commit"]) == (a, b)
     assert set(doc["workloads"]) == {"verify-all", "dense-bracket"}
+
+
+def _pairs(parent: list[float], change: list[float]) -> list[dict]:
+    """Synthetic bench_ab pairs: wall_s as given, the other metrics 1.0."""
+    def row(wall):
+        return {"metrics": {m: wall if m == "wall_s" else 1.0 for m in bench_ab.METRICS}}
+    return [{"parent": row(a), "change": row(b)} for a, b in zip(parent, change)]
+
+
+def test_summary_gives_the_median_ratio_with_a_sign_test_interval():
+    parent = [10.0, 8.0, 12.0, 9.0, 11.0, 10.0, 8.0, 12.0, 9.0, 10.0]
+    ratios = [0.9, 0.7, 0.95, 0.8, 0.85, 1.1, 0.75, 0.6, 0.82, 0.88]
+    summary = bench_ab._summary(_pairs(parent, [a * r for a, r in zip(parent, ratios)]))
+    got = summary["wall_s"]["change_to_parent_ratio"]
+    # Ten pairs: the 2nd smallest to the 2nd largest ratio, coverage
+    # 1 - 2 * 11/1024; the 3rd would cover only 1 - 2 * 56/1024 < 0.95.
+    assert got["median"] == pytest.approx(0.835)
+    assert got["interval"] == pytest.approx([0.7, 0.95])
+    assert got["confidence"] == pytest.approx(1 - 22 / 1024)
+    assert summary["wall_s"]["change_lower_in_pairs"] == 9
+    flat = summary["peak_rss_mb"]["change_to_parent_ratio"]
+    assert flat == {"median": 1.0, "interval": [1.0, 1.0], "confidence": pytest.approx(1 - 22 / 1024)}
+
+
+def test_sign_test_interval_on_few_pairs():
+    # Below six pairs no interval reaches 95%: the full range, with its coverage.
+    got = bench_ab._ratio([1.2, 0.9, 1.0, 1.1, 0.8])
+    assert got == {"median": 1.0, "interval": [0.8, 1.2], "confidence": 1 - 2 / 32}
+    assert bench_ab._ratio([0.5])["interval"] == [0.5, 0.5]
+    assert bench_ab._ratio([]) is None
+    # Twenty pairs: the 6th smallest to the 6th largest.
+    got = bench_ab._ratio([i / 20 for i in range(20, 0, -1)])
+    assert got["interval"] == [6 / 20, 15 / 20]
+    assert got["confidence"] == pytest.approx(0.9586, abs=1e-4)

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -24,6 +25,8 @@ from virmagri import (
     partitions_upto,
     skew_defect,
 )
+from virmagri.brackets import _flip, _leaf
+from virmagri.diffpoly import mono_degree
 
 C0 = AlgebraCtx(0)
 C1 = AlgebraCtx(1)
@@ -100,6 +103,66 @@ def test_shift_apply_takes_one_derivative_chain(monkeypatch):
     assert len(calls) <= 1500
     monkeypatch.undo()
     assert got == LambdaPoly({1500 - k: DiffPoly.gen(k) * comb(1500, k) for k in range(1501)})
+
+
+def _flip_model(P: LambdaPoly) -> LambdaPoly:
+    """-P with lambda -> -lambda-d, each lambda^k p taken by k single steps."""
+    out = LambdaPoly.zero()
+    for k, p in P.terms.items():
+        out = out - stepwise_shift(LambdaPoly.of(p), k, -1)
+    return out
+
+
+@given(st.dictionaries(st.integers(0, 6), diffpoly_st(5), max_size=4))
+def test_oracle_flip_matches_stepwise_model(terms):
+    P = LambdaPoly(terms)
+    assert _flip(P) == _flip_model(P)
+
+
+@pytest.mark.parametrize("ctx", CHARGES)
+def test_oracle_leaf_matches_stepwise_model(ctx):
+    for i in range(6):
+        for j in range(6):
+            want = stepwise_shift(gen_bracket(ctx), j, 1).lambda_shift(i, -1)
+            assert _leaf(i, j, ctx) == want
+
+
+def _oracle_gate_inputs():
+    """Every monomial pair of total degree at most 6, and 20 seeded
+    3-term polynomial pairs."""
+    monos = [tuple(v - 1 for v in p.parts) for p in partitions_upto(6)]
+    pairs = [(DiffPoly.monomial(a), DiffPoly.monomial(b)) for a in monos for b in monos
+             if mono_degree(a) + mono_degree(b) <= 6]
+    rng = random.Random(20261018)
+
+    def poly():
+        return DiffPoly({rng.choice(monos[1:]): rng.choice([-3, -2, -1, 1, 2, 5])
+                         for _ in range(3)})
+
+    return pairs + [(poly(), poly()) for _ in range(20)]
+
+
+def test_oracle_runs_without_the_shift_methods(monkeypatch):
+    inputs = _oracle_gate_inputs()
+    want = {(i, ctx): bracket_master(f, g, ctx)
+            for i, (f, g) in enumerate(inputs) for ctx in CHARGES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a LambdaPoly shift method")
+
+    for name in ("shifts", "shift_apply", "subst_neg_shift"):
+        monkeypatch.setattr(LambdaPoly, name, refuse)
+    for i, (f, g) in enumerate(inputs):
+        for ctx in CHARGES:
+            assert bracket_recursive(f, g, ctx) == want[i, ctx]
+
+
+def test_oracle_memo_lives_for_one_call():
+    f, g = dense(3) + d2L, dense(2, 4)
+    want = {ctx: bracket_master(f, g, ctx) for ctx in CHARGES}
+    for first, second in ((C1, CM2), (CM2, C0), (C0, C1)):
+        assert bracket_recursive(f, g, first) == want[first]
+        assert bracket_recursive(f, g, second) == want[second]
 
 
 def test_lambda_shift_signs():

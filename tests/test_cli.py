@@ -75,6 +75,19 @@ def test_bracket_huge_derivative_order_is_refused_fast(capsys):
         assert err.startswith("domain error:") and "Traceback" not in err
 
 
+def test_every_verb_refuses_orders_past_the_limit(capsys):
+    over = "d%dL" % (MAX_ORDER + 1)
+    for argv in (("der", over), ("phi", over), ("zhu", over), ("qmap", over),
+                 ("mul", over, "L"), ("mul", "L", "L + " + over),
+                 ("der", "d99999999999999999999L"), ("phi", "d99999999999999999999L")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("domain error:") and "Traceback" not in err
+    assert run(capsys, "der", "d%dL" % MAX_ORDER) == (0, "d%dL" % (MAX_ORDER + 1), "")
+
+
 def test_huge_exponents_are_refused_fast(capsys):
     for argv in (("der", "L^99999999999999999999"), ("der", "L^100000000"),
                  ("mul", "d2L^%d" % (MAX_FACTORS + 1), "L"),
@@ -213,6 +226,26 @@ def test_json_envelope(capsys):
     ]
     code, out, _ = run(capsys, "count-syt", "[4,3,2,1]", "--format", "json")
     assert json.loads(out)["result"] == {"type": "int", "value": 768}
+
+
+def test_only_the_printed_form_is_built(capsys, monkeypatch):
+    import virmagri.cli as cli
+
+    big = "9" * 2151 + " L"
+    calls = [("bracket", "d1L", "d2L L", "--charge", "-2"), ("count-syt", "[4,3,2,1]"),
+             ("ind", "[N3]"), ("quantize", "L^2"), ("verify", "--suite", "witt-commutator"),
+             ("mul", big, big)]
+    want = {fmt: [run(capsys, *argv, "--format", fmt) for argv in calls]
+            for fmt in ("text", "json")}
+
+    def refuse(value):
+        raise AssertionError("built a form that is not printed")
+
+    for fmt, unused in (("text", "to_jsonable"), ("json", "format_value")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, unused, refuse)
+            assert [run(capsys, *argv, "--format", fmt) for argv in calls] == want[fmt]
+    assert want["json"][-1][0] == want["text"][-1][0] == 3
 
 
 def test_verify_subcommand(capsys):

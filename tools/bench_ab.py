@@ -13,7 +13,9 @@ alike.  Standard library only; one perfbench run at a time.
 
 Runs of other workloads already in --out are kept, so one file collects
 every workload of a change; an --out recorded for other commits is
-refused before any run.  With --trace, one `--trace 1` run per side
+refused before any run.  Each metric's summary gives the parent's and
+the change's medians and IQRs, the pairs in which the change is lower, and
+the median change/parent ratio with an exact sign-test interval.  With --trace, one `--trace 1` run per side
 follows the pairs and its per-layer metrics are stored as they are.
 """
 
@@ -27,6 +29,7 @@ import re
 import statistics
 import subprocess
 import sys
+from math import comb
 
 METRICS = ("wall_s", "peak_rss_mb", "setup_s")
 PAIRS = 10  # the fewest alternating pairs that can show a gain on nine of ten
@@ -59,6 +62,25 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
+def _ratio(ratios: list[float], level: float = 0.95) -> dict | None:
+    """Median of the per-pair change/parent ratios, with the exact
+    sign-test interval for it: the k-th smallest to the k-th largest
+    ratio, k as large as keeps the coverage 1 - 2 P(Bin(n, 1/2) < k) at
+    least `level` (with fewer than 6 pairs no k does; k = 1 then, and the
+    coverage given is below `level`).  A drifting host shows as a wide
+    interval."""
+    r = sorted(ratios)
+    n = len(r)
+    if not n:
+        return None
+    below = [sum(comb(n, i) for i in range(k)) / 2**n for k in range(n // 2 + 2)]
+    k = 1
+    while k < (n + 1) // 2 and 1 - 2 * below[k + 1] >= level:
+        k += 1
+    return {"median": statistics.median(r), "interval": [r[k - 1], r[n - k]],
+            "confidence": 1 - 2 * below[k]}
+
+
 def _summary(pairs: list[dict]) -> dict:
     out = {}
     for m in METRICS:
@@ -66,6 +88,7 @@ def _summary(pairs: list[dict]) -> dict:
         b = [p["change"]["metrics"][m] for p in pairs]
         out[m] = {"parent": _spread(a), "change": _spread(b),
                   "change_lower_in_pairs": sum(y < x for x, y in zip(a, b)),
+                  "change_to_parent_ratio": _ratio([y / x for x, y in zip(a, b) if x]),
                   "pairs": len(pairs)}
     return out
 
