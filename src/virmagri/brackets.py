@@ -272,9 +272,9 @@ def _mono_bracket(a: tuple, b: tuple, ctx: AlgebraCtx, memo: dict) -> LambdaPoly
 def bracket_recursive(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     """Same bracket as bracket_master, computed by axiom-by-axiom reduction.
 
-    Serves as an independent oracle: its generator bracket, its shifts
-    and its skew flip are its own, and it calls none of the LambdaPoly
-    shift methods bracket_master runs.  Monomial pairs met twice within
+    Serves as an independent oracle: its generator bracket, its powers
+    of (lambda+d) and its skew flip are its own code, none of the
+    LambdaPoly methods bracket_master runs.  Monomial pairs met twice within
     one call are bracketed once; nothing is kept between calls.
     """
     memo: dict = {}
