@@ -31,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from math import comb, factorial
 
-from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono
+from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono, mono_mul
 from .errors import DomainError
 from .sparse import Sparse, acc
 
@@ -112,7 +112,7 @@ def _add_product_into(sums: dict, k, terms: dict, other: dict) -> None:
     get = d.get
     for m2, c2 in other.items():
         for m1, c1 in terms.items():
-            m = tuple(sorted(m1 + m2, reverse=True)) if m2 else m1
+            m = mono_mul(m1, m2) if m2 else m1
             d[m] = get(m, 0) + c1 * c2
 
 

@@ -73,7 +73,8 @@ def test_summary_gives_the_median_ratio_with_a_sign_test_interval():
     assert got["confidence"] == pytest.approx(1 - 22 / 1024)
     assert summary["wall_s"]["change_lower_in_pairs"] == 9
     flat = summary["peak_rss_mb"]["change_to_parent_ratio"]
-    assert flat == {"median": 1.0, "interval": [1.0, 1.0], "confidence": pytest.approx(1 - 22 / 1024)}
+    assert flat == {"median": 1.0, "interval": [1.0, 1.0],
+                    "confidence": pytest.approx(1 - 22 / 1024)}
 
 
 def test_sign_test_interval_on_few_pairs():

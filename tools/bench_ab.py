@@ -14,9 +14,10 @@ alike.  Standard library only; one perfbench run at a time.
 Runs of other workloads already in --out are kept, so one file collects
 every workload of a change; an --out recorded for other commits is
 refused before any run.  Each metric's summary gives the parent's and
-the change's medians and IQRs, the pairs in which the change is lower, and
-the median change/parent ratio with an exact sign-test interval.  With --trace, one `--trace 1` run per side
-follows the pairs and its per-layer metrics are stored as they are.
+the change's medians and IQRs, the pairs in which the change is lower,
+and the median change/parent ratio with an exact sign-test interval.
+With --trace, one `--trace 1` run per side follows the pairs and its
+per-layer metrics are stored as they are.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from math import comb
 
 METRICS = ("wall_s", "peak_rss_mb", "setup_s")
 PAIRS = 10  # the fewest alternating pairs that can show a gain on nine of ten
+LEVEL = 0.95  # the least coverage of the sign-test interval on the median ratio
 _WALLS = re.compile(r"pass walls \[([^\]]*)\]")
 
 
@@ -62,12 +64,12 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
-def _ratio(ratios: list[float], level: float = 0.95) -> dict | None:
+def _ratio(ratios: list[float]) -> dict | None:
     """Median of the per-pair change/parent ratios, with the exact
     sign-test interval for it: the k-th smallest to the k-th largest
     ratio, k as large as keeps the coverage 1 - 2 P(Bin(n, 1/2) < k) at
-    least `level` (with fewer than 6 pairs no k does; k = 1 then, and the
-    coverage given is below `level`).  A drifting host shows as a wide
+    least LEVEL (with fewer than 6 pairs no k does; k = 1 then, and the
+    coverage given is below LEVEL).  A drifting host shows as a wide
     interval."""
     r = sorted(ratios)
     n = len(r)
@@ -75,7 +77,7 @@ def _ratio(ratios: list[float], level: float = 0.95) -> dict | None:
         return None
     below = [sum(comb(n, i) for i in range(k)) / 2**n for k in range(n // 2 + 2)]
     k = 1
-    while k < (n + 1) // 2 and 1 - 2 * below[k + 1] >= level:
+    while k < (n + 1) // 2 and 1 - 2 * below[k + 1] >= LEVEL:
         k += 1
     return {"median": statistics.median(r), "interval": [r[k - 1], r[n - k]],
             "confidence": 1 - 2 * below[k]}
