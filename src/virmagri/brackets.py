@@ -9,16 +9,23 @@ Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
 bracket in three stages (the f side, the generator bracket, the g side),
 each getting all its powers of (lambda+d) from one derivative chain per
-coefficient (LambdaPoly.shifts and subst_neg_shift).  bracket_recursive
-reduces arguments step by step through the product rule and
-skew-symmetry down to pairs of single generators, whose bracket
-(-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by term; its
-leaf and its skew flip are its own code, so a fault in the LambdaPoly
-shift methods cannot reach both sides.  They must agree everywhere; the
+coefficient.  bracket_recursive reduces arguments step by step through
+the product rule and skew-symmetry down to pairs of single generators,
+whose bracket (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by
+term; its leaf and its skew flip are its own code, so a fault in the
+shift loops cannot reach both sides.  They must agree everywhere; the
 verification suites compare them case by case.
 
 Both build each lambda power's coefficient as one plain {monomial: int}
 dict, adding every term into it in place, and wrap it once at the end.
+bracket_master's dicts are keyed by packed monomials private to this
+module: one int holding the count of factors dkL in its w-bit field k, so
+a product of monomials is one integer add.  w is chosen per call from
+the operands, wide enough that no field can overflow.  The partials of f
+and g are packed on entry, the result is unpacked once, and the
+derivative of each packed monomial met is computed once per call.  The
+public LambdaPoly shift methods run the same binomial loops
+(_shift_sums, _neg_shift_sums) on tuple keys through DiffPoly.derive.
 
 Inside a bracket_memo() context, bracket_master remembers its results,
 keyed on both arguments' terms (coefficients included) and the charge;
@@ -59,37 +66,59 @@ class LambdaPoly(Sparse):
         return self.shifts((m,), sign)[m]
 
     def shifts(self, ms, sign: int = 1) -> dict[int, "LambdaPoly"]:
-        """{m: (sign*(lambda + d))^m self} for every m in ms, in ascending m.
-
-        lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
-        coefficient's derivative chain runs once, up to max(ms), and each
-        d^k P is added, scaled, straight into the sum of every m >= k.
-        """
-        rows = [(m, [(-1 if sign < 0 and m % 2 else 1) * comb(m, k) for k in range(m + 1)], {})
-                for m in sorted(set(ms), reverse=True)]
-        top = rows[0][0] if rows else -1
-        for j, p in self.terms.items():
-            for k in range(top + 1):
-                for m, row, sums in rows:
-                    if m < k:
-                        break
-                    _add_into(sums, j + m - k, p.terms, row[k])
-                if k == top or not (p := p.derive()):
-                    break
-        return {m: _wrap(sums) for m, _, sums in reversed(rows)}
+        """{m: (sign*(lambda + d))^m self} for every m in ms, in ascending m;
+        see _shift_sums."""
+        sums = _shift_sums(self._plain(), ms, sign, _derive_terms)
+        return {m: _wrap(s) for m, s in sums.items()}
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d (the derivative acting on the
-        coefficient it lands on): lambda^k P goes to
-        sum_r (-1)^k C(k,r) lambda^(k-r) d^r P."""
-        sums: dict = {}
-        for k, p in self.terms.items():
-            s = -1 if k % 2 else 1
-            for r in range(k + 1):
-                _add_into(sums, k - r, p.terms, s * comb(k, r))
-                if r == k or not (p := p.derive()):
+        coefficient it lands on); see _neg_shift_sums."""
+        return _wrap(_neg_shift_sums(self._plain(), _derive_terms))
+
+    def _plain(self) -> dict:
+        return {k: p.terms for k, p in self.terms.items()}
+
+
+def _derive_terms(terms: dict) -> dict:
+    """The derivative step of the public shift methods: DiffPoly.derive."""
+    return DiffPoly._nonzero(terms).derive().terms
+
+
+def _shift_sums(terms: dict, ms, sign: int, derive) -> dict:
+    """{m: {power: {monomial: int}}} of (sign*(lambda + d))^m for every m in
+    ms, terms being {power: {monomial: int}} and derive one derivative
+    step on such a dict, returning it without zeros.
+
+    lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
+    coefficient's derivative chain runs once, up to max(ms), and each
+    d^k P is added, scaled, straight into the sum of every m >= k.
+    """
+    rows = [(m, [(-1 if sign < 0 and m % 2 else 1) * comb(m, k) for k in range(m + 1)], {})
+            for m in sorted(set(ms), reverse=True)]
+    top = rows[0][0] if rows else -1
+    for j, p in terms.items():
+        for k in range(top + 1):
+            for m, row, sums in rows:
+                if m < k:
                     break
-        return _wrap(sums)
+                _add_into(sums, j + m - k, p, row[k])
+            if k == top or not (p := derive(p)):
+                break
+    return {m: sums for m, _, sums in reversed(rows)}
+
+
+def _neg_shift_sums(terms: dict, derive) -> dict:
+    """lambda -> -lambda - d on {power: {monomial: int}}, derive as in
+    _shift_sums: lambda^k P goes to sum_r (-1)^k C(k,r) lambda^(k-r) d^r P."""
+    sums: dict = {}
+    for k, p in terms.items():
+        s = -1 if k % 2 else 1
+        for r in range(k + 1):
+            _add_into(sums, k - r, p, s * comb(k, r))
+            if r == k or not (p := derive(p)):
+                break
+    return sums
 
 
 def _add_into(sums: dict, k, terms: dict, c: int) -> None:
@@ -116,19 +145,23 @@ def _add_product_into(sums: dict, k, terms: dict, other: dict) -> None:
             d[m] = get(m, 0) + c1 * c2
 
 
-def _wrap(sums: dict) -> LambdaPoly:
-    """The lambda polynomial of {power: {monomial: int}} sums built in
-    place: each dict is wrapped as it is, its zeros deleted, not copied."""
+def _strip(sums: dict) -> dict:
+    """Delete, in place, the zeros of {power: {monomial: int}} sums and
+    the powers left empty; return sums."""
     for k in list(sums):
         d = sums[k]
         if 0 in d.values():
             for m in [m for m, c in d.items() if not c]:
                 del d[m]
-        if d:
-            sums[k] = DiffPoly._nonzero(d)
-        else:
+        if not d:
             del sums[k]
-    return LambdaPoly._nonzero(sums)
+    return sums
+
+
+def _wrap(sums: dict) -> LambdaPoly:
+    """The lambda polynomial of {power: {monomial: int}} sums built in
+    place: each dict is wrapped as it is, its zeros deleted, not copied."""
+    return LambdaPoly._nonzero({k: DiffPoly._nonzero(d) for k, d in _strip(sums).items()})
 
 
 class BiLambdaPoly(Sparse):
@@ -193,24 +226,110 @@ def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     through lambda -> -lambda-d; the generator bracket c_p lambda^p acting
     on it from the right as sum_p c_p (lambda+d)^p; the g side
     sum_n dg/du^(n) (lambda+d)^n.  The last two take every power they
-    need from one shifts() call, one derivative chain per coefficient, and
-    multiply each term straight into the sum of its lambda power.
+    need from one _shift_sums call, one derivative chain per coefficient,
+    and multiply each term straight into the sum of its lambda power.
+
+    All three stages run on packed monomials (see _pack), w bits a field
+    with w = (F + G + 1).bit_length(), F and G the most factors of a
+    monomial of f and of g: no monomial met has more than F + G - 1
+    factors, so no field can overflow.  The derivative chains of different
+    coefficients meet the same monomials many times over, so each
+    monomial's derivative row (see _derive_packed) is computed once, in a
+    dict that lives for this call only.
     """
-    base = LambdaPoly({m: f.partial_wrt(m) for m in f.orders_present()}).subst_neg_shift()
-    gb = gen_bracket(ctx).terms
+    most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
+    w = (most + 1).bit_length()
+    rows: dict = {}
+
+    def step(terms: dict) -> dict:
+        return _derive_packed(terms, w, rows)
+
+    base = _strip(_neg_shift_sums(_packed_partials(f, w), step))
+    gb = {p: {_pack(m, w): c for m, c in q.terms.items()} for p, q in gen_bracket(ctx).terms.items()}
     sums: dict = {}
-    for p, sh in base.shifts(gb).items():
-        for k, q in sh.terms.items():
-            _add_product_into(sums, k, q.terms, gb[p].terms)
-    shifted = _wrap(sums).shifts(g.orders_present())
+    for p, sh in _shift_sums(base, gb, 1, step).items():
+        for k, q in _strip(sh).items():
+            _add_packed_product_into(sums, k, q, gb[p])
+    dg = _packed_partials(g, w)
+    shifted = _shift_sums(_strip(sums), dg, 1, step)
     sums = {}
     while shifted:
         # Largest power first, each freed once used: keeps peak memory low.
         n, sh = shifted.popitem()
-        dg = g.partial_wrt(n).terms
-        for k, q in sh.terms.items():
-            _add_product_into(sums, k, q.terms, dg)
+        for k, q in _strip(sh).items():
+            _add_packed_product_into(sums, k, q, dg[n])
+    # Unpacked one power at a time, with the rows freed first, so at most
+    # one power is held in both forms.
+    rows.clear()
+    for k, d in sums.items():
+        sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
     return _wrap(sums)
+
+
+def _pack(m: tuple, w: int) -> int:
+    """The packed form of monomial m: the count of factors dkL in the w-bit
+    field k of one int, so a product of monomials is the sum of keys."""
+    return sum(1 << (w * k) for k in m)
+
+
+def _unpack(key: int, w: int) -> tuple:
+    """The monomial tuple of a packed key, highest order first."""
+    out: list = []
+    while key:
+        s = (key.bit_length() - 1) // w * w
+        c = key >> s
+        key -= c << s
+        out += [s // w] * c
+    return tuple(out)
+
+
+def _packed_partials(f: DiffPoly, w: int) -> dict:
+    """{k: df/du^(k)} with packed keys, for every order k present in f."""
+    out: dict = {}
+    for m, c in f.terms.items():
+        key = _pack(m, w)
+        for k in set(m):
+            d = out.setdefault(k, {})
+            m2 = key - (1 << (w * k))
+            d[m2] = d.get(m2, 0) + c * m.count(k)
+    return out
+
+
+def _derive_packed(terms: dict, w: int, rows: dict) -> dict:
+    """The total derivative of packed terms, without zeros.  rows maps a
+    key to its derivative ((key, count), ...): d on the c factors dkL adds
+    (2^w - 1) << (w*k), one factor taken from field k to field k + 1, with
+    multiplicity c."""
+    out: dict = {}
+    get = out.get
+    for m, c in terms.items():
+        row = rows.get(m)
+        if row is None:
+            row, x = [], m
+            while x:
+                s = (x.bit_length() - 1) // w * w
+                n = x >> s
+                x -= n << s
+                row.append((m + (((1 << w) - 1) << s), n))
+            row = rows[m] = tuple(row)
+        for m2, n in row:
+            out[m2] = get(m2, 0) + c * n
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return out
+
+
+def _add_packed_product_into(sums: dict, k, terms: dict, other: dict) -> None:
+    """sums[k] += the product of two packed polynomials' terms, as in
+    _add_into."""
+    d = sums.get(k)
+    if d is None:
+        sums[k] = d = {}
+    get = d.get
+    for m2, c2 in other.items():
+        for m1, c1 in terms.items():
+            m = m1 + m2
+            d[m] = get(m, 0) + c1 * c2
 
 
 def _leaf(i: int, j: int, ctx: AlgebraCtx) -> LambdaPoly:

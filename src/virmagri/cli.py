@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -275,7 +276,13 @@ def main(argv=None) -> int:
         print("domain error: the result has an integer of more than %d digits"
               % sys.get_int_max_str_digits(), file=sys.stderr)
         return 3
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early, as `| head` does.  Point stdout at
+        # devnull so the flush at exit writes nowhere instead of failing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

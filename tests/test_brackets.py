@@ -388,3 +388,96 @@ def test_lambda_poly_equality_and_arithmetic():
     assert P.coeff(2) == dL
     assert P.coeff(5) == DiffPoly.zero()
     assert P.scale(2) == LambdaPoly({0: 2 * L, 2: 2 * dL})
+
+
+def _width_gate_inputs():
+    """Operand pairs whose F + G + 1 (F, G the most factors of a monomial
+    of each side) sits at and just past 2^w for w = 2..5, where
+    bracket_master's packed fields widen, and at 2^w + 2, where the
+    F + G - 1 factors of L^(F+G-1) first need w + 1 bits.  L^a puts every
+    factor in one field, and d2L L^(b-1) spreads them over two."""
+    pairs = []
+    for w in range(2, 6):
+        for total in (2 ** w, 2 ** w + 1, 2 ** w + 2):
+            a = (total - 1) // 2
+            b = total - 1 - a
+            pairs.append((L ** a, L ** b))
+            if b > 1:
+                pairs.append((L ** a, d2L * L ** (b - 1) + 3 * dL * L ** (b - 2)))
+    return pairs
+
+
+@pytest.mark.parametrize("f,g", _width_gate_inputs())
+def test_kernel_matches_oracle_where_fields_widen(f, g):
+    for ctx in CHARGES:
+        assert bracket_master(f, g, ctx) == bracket_recursive(f, g, ctx)
+
+
+def test_kernel_matches_oracle_on_high_orders():
+    f, g = DiffPoly.gen(40) ** 2, DiffPoly.gen(40)
+    for ctx in CHARGES:
+        assert bracket_master(f, g, ctx) == bracket_recursive(f, g, ctx)
+
+
+def test_kernel_matches_oracle_on_zero_unit_and_constants():
+    trivial = [DiffPoly.zero(), DiffPoly.one(), DiffPoly.const(-3)]
+    others = trivial + [L, d2L * L ** 3 - 2 * dL, DiffPoly.const(2) + L]
+    for ctx in CHARGES:
+        for f in trivial:
+            for g in others:
+                assert bracket_master(f, g, ctx).is_zero()
+                assert bracket_master(g, f, ctx).is_zero()
+                assert bracket_recursive(f, g, ctx).is_zero()
+                assert bracket_recursive(g, f, ctx).is_zero()
+        for f in others[3:]:
+            for g in others[3:]:
+                assert bracket_master(f, g, ctx) == bracket_recursive(f, g, ctx)
+
+
+def test_oracle_runs_without_the_kernel(monkeypatch):
+    from virmagri import brackets
+
+    inputs = _oracle_gate_inputs() + _width_gate_inputs()[:6]
+    want = {(i, ctx): bracket_master(f, g, ctx)
+            for i, (f, g) in enumerate(inputs) for ctx in CHARGES}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran bracket_master's kernel")
+
+    for name in ("_bracket_master", "_shift_sums", "_neg_shift_sums", "_pack", "_unpack",
+                 "_packed_partials", "_derive_packed", "_add_packed_product_into"):
+        monkeypatch.setattr(brackets, name, refuse)
+    for i, (f, g) in enumerate(inputs):
+        for ctx in CHARGES:
+            assert bracket_recursive(f, g, ctx) == want[i, ctx]
+
+
+def test_kernel_derive_budget(monkeypatch):
+    # The kernel's own derivative step, counted like DiffPoly.derive in
+    # test_bracket_master_derive_budget: one chain per coefficient.
+    from virmagri import brackets
+
+    derive = brackets._derive_packed
+    for d, budget in ((8, 130), (10, 200)):
+        f, g = dense(d), dense(d, 2)
+        calls = []
+        monkeypatch.setattr(brackets, "_derive_packed",
+                            lambda *args: calls.append(1) or derive(*args))
+        got = bracket_master(f, g, C1)
+        assert 0 < len(calls) <= budget
+        monkeypatch.undo()
+        assert got == -bracket_master(g, f, C1).subst_neg_shift()
+
+
+def test_kernel_keeps_nothing_between_calls():
+    # Back to back at other charges and other field widths: the derivative
+    # rows of one call must not reach the next.  The first two both derive
+    # L, whose packed key is 1 at every width but whose derivative's key
+    # is 2^w: w is 2 in the first and 4 in the second.
+    cases = [(L, dL), (L, dL * L ** 6), (dense(3) + d2L, dense(2, 4)), (L ** 7, L ** 8)]
+    want = {(i, ctx): bracket_recursive(f, g, ctx)
+            for i, (f, g) in enumerate(cases) for ctx in CHARGES}
+    for first, second in ((C1, CM2), (CM2, C0), (C0, C1)):
+        for i, (f, g) in enumerate(cases):
+            assert bracket_master(f, g, first) == want[i, first]
+            assert bracket_master(f, g, second) == want[i, second]

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from helpers import syt_by_hooks
 from virmagri import DiffPoly, IndResExpr, WeylElem, XPoly
@@ -523,3 +527,18 @@ def _cli_digests(capsys):
 def test_cli_outputs_are_pinned(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
     assert _cli_digests(capsys) == PINNED_OUTPUTS
+
+
+def test_reader_closing_early_is_not_a_traceback():
+    # `virmagri bracket "d60L^2" d60L | head -c 20`: the reader goes away
+    # after 20 bytes while the CLI still has most of its one 260 kB line,
+    # far past a pipe's buffer, to write.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "virmagri.cli", "bracket", "d60L^2", "d60L"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
