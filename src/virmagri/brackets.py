@@ -7,9 +7,10 @@ arithmetic.
 
 Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
-bracket in three stages (the f side, the generator bracket, the g side),
-each getting all its powers of (lambda+d) from one derivative chain per
-coefficient.  bracket_recursive reduces arguments step by step through
+bracket in three stages (the partials of f under lambda -> -lambda-d,
+the generator bracket, the g side), each getting all its powers of
+(lambda+d) from one derivative chain per coefficient; the first two give
+the f side, which depends on f and the charge only.  bracket_recursive reduces arguments step by step through
 the product rule and skew-symmetry down to pairs of single generators,
 whose bracket (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by
 term; its leaf and its skew flip are its own code, so a fault in the
@@ -22,14 +23,20 @@ bracket_master's dicts are keyed by packed monomials private to this
 module: one int holding the count of factors dkL in its w-bit field k, so
 a product of monomials is one integer add.  w is chosen per call from
 the operands, wide enough that no field can overflow.  The partials of f
-and g are packed on entry, the result is unpacked once, and the
-derivative of each packed monomial met is computed once per call.  The
+and g are packed on entry, and the result is unpacked at the end.  The
 public LambdaPoly shift methods run the same binomial loops
 (_shift_sums, _neg_shift_sums) on tuple keys through DiffPoly.derive.
 
-Inside a bracket_memo() context, bracket_master remembers its results,
-keyed on both arguments' terms (coefficients included) and the charge;
-outside one it computes every call.  bracket_recursive brackets each
+bracket_master keeps its work in a store (_Store).  Inside a
+bracket_memo() context one store serves every call: it remembers each
+result, keyed on both arguments' terms (coefficients included) and the
+charge; each left operand's f side with the powers of (lambda+d) asked
+of it so far, keyed on (f terms, w, charge); and per width w each packed
+monomial's derivative and unpacked tuple.  So within a context each f
+side is built once, and a new g against it costs one pass of products
+and unpacking, plus any power of (lambda+d) no earlier g asked for.
+Outside a context each call has a store
+of its own, dropped when it returns.  bracket_recursive brackets each
 monomial pair once per call and keeps nothing between calls.
 """
 
@@ -182,24 +189,43 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
     return LambdaPoly(coeffs)
 
 
-_memo: dict | None = None
+class _Store:
+    """What bracket_master shares while a bracket_memo() context is open,
+    or within one call outside any: its results, keyed on both arguments'
+    terms and the charge; the f sides (see _f_side), keyed on (f terms, w,
+    charge); and, for each field width w, the packed derivative rows (see
+    _derive_packed) and the monomial tuples of unpacked keys."""
+
+    __slots__ = ("results", "f_sides", "widths")
+
+    def __init__(self):
+        self.results: dict = {}
+        self.f_sides: dict = {}
+        self.widths: dict = {}
+
+
+_memo: _Store | None = None
 
 
 @contextmanager
 def bracket_memo():
-    """Cache bracket_master results until the outermost context exits.
+    """Share bracket_master's work until the outermost context exits.
 
-    A nested context shares the memo of the one around it.  Callers of
-    one argument pair share one result value, which, like every Sparse
-    value, is never mutated.  The memo holds every distinct bracket
-    computed meanwhile, so keep the scope small: one verification sweep,
-    not a whole suite.
+    While open, one store (see _Store) keeps every distinct bracket
+    computed, each left operand's f side with its powers of (lambda+d),
+    and each field width's derivative rows and unpacked monomials, so a
+    bracket met again is a lookup and a new g against a known f is one
+    pass of products and unpacking.  A nested context shares the store of
+    the one around it.  Callers of one argument pair share one result
+    value, which, like every Sparse value, is never mutated.  The store
+    grows with the distinct operands met, so keep the scope small: one
+    verification sweep, not a whole suite.
     """
     global _memo
     if _memo is not None:
         yield
         return
-    _memo = {}
+    _memo = _Store()
     try:
         yield
     finally:
@@ -208,62 +234,88 @@ def bracket_memo():
 
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     """Closed-form bracket of two differential polynomials, looked up in
-    the bracket_memo() memo when one is open."""
+    the bracket_memo() store when one is open."""
     if _memo is None:
         return _bracket_master(f, g, ctx)
     key = (frozenset(f.terms.items()), frozenset(g.terms.items()), ctx.central_charge)
-    br = _memo.get(key)
+    br = _memo.results.get(key)
     if br is None:
-        br = _memo[key] = _bracket_master(f, g, ctx)
+        br = _memo.results[key] = _bracket_master(f, g, ctx)
     return br
 
 
 def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
-    """The master formula behind bracket_master, uncached.
+    """The master formula behind bracket_master, its result not cached.
 
-    Three stages, each linear in the one before: the f side
-    sum_m (-lambda-d)^m df/du^(m), the partials of f keyed by order put
-    through lambda -> -lambda-d; the generator bracket c_p lambda^p acting
-    on it from the right as sum_p c_p (lambda+d)^p; the g side
-    sum_n dg/du^(n) (lambda+d)^n.  The last two take every power they
-    need from one _shift_sums call, one derivative chain per coefficient,
-    and multiply each term straight into the sum of its lambda power.
-
-    All three stages run on packed monomials (see _pack), w bits a field
-    with w = (F + G + 1).bit_length(), F and G the most factors of a
-    monomial of f and of g: no monomial met has more than F + G - 1
-    factors, so no field can overflow.  The derivative chains of different
-    coefficients meet the same monomials many times over, so each
-    monomial's derivative row (see _derive_packed) is computed once, in a
-    dict that lives for this call only.
+    {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n M_f, M_f the f side of
+    the formula: the partials of f put through the generator bracket,
+    which depends on f and the charge only (see _f_side).  _g_side forms
+    the sum on packed monomials (see _pack), w bits a field with
+    w = (F + G + 1).bit_length(), F and G the most factors of a monomial
+    of f and of g: no monomial met has more than F + G - 1 factors, so no
+    field can overflow.  Each key of the result is then unpacked once per
+    store: rows, f sides and unpacked monomials live in the open
+    bracket_memo() store, or outside one in a store of this call's own,
+    whose rows and f sides are freed before the unpacking starts.
     """
     most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
     w = (most + 1).bit_length()
-    rows: dict = {}
+    sums, tuples = _g_side(f, g, w, ctx)
+    get = tuples.get
+    # The unit's tuple () is false, so its key 0 is unpacked anew: at once.
+    for k, d in sums.items():
+        sums[k] = {get(m) or _unpack(m, w, tuples): c for m, c in d.items() if c}
+    return _wrap(sums)
 
+
+def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> tuple[dict, dict]:
+    """The packed sum {lambda power: {key: int}} of dg/du^(n) (lambda+d)^n
+    M_f over the orders n of g, each term multiplied straight into the sum
+    of its lambda power, and the store's unpacked monomials of width w."""
+    store = _Store() if _memo is None else _memo
+    rows, tuples = store.widths.setdefault(w, ({}, {}))
+    dg = _packed_partials(g, w)
+    powers = _f_side(f, w, ctx, store.f_sides, dg, rows)
+    sums: dict = {}
+    for n in sorted(dg, reverse=True):
+        for k, q in powers[n].items():
+            _add_packed_product_into(sums, k, q, dg[n])
+    return sums, tuples
+
+
+def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, rows: dict) -> dict:
+    """{n: (lambda+d)^n M_f} on packed keys of width w, for 0 and at least
+    every n in ns, M_f being the f side of the master formula.
+
+    M_f takes two stages, each linear in the one before: the partials of
+    f keyed by order put through lambda -> -lambda-d, sum_m
+    (-lambda-d)^m df/du^(m); then the generator bracket c_p lambda^p
+    acting on it from the right as sum_p c_p (lambda+d)^p.  The second
+    stage and the powers each take every power they need from one
+    _shift_sums call, one derivative chain per coefficient, its steps
+    looked up in rows (see _derive_packed).  The powers are kept in sides
+    under (f terms, w, charge), M_f as power 0; a later call asking for an
+    n not there yet adds it from M_f.
+    """
     def step(terms: dict) -> dict:
         return _derive_packed(terms, w, rows)
 
-    base = _strip(_neg_shift_sums(_packed_partials(f, w), step))
-    gb = {p: {_pack(m, w): c for m, c in q.terms.items()} for p, q in gen_bracket(ctx).terms.items()}
-    sums: dict = {}
-    for p, sh in _shift_sums(base, gb, 1, step).items():
-        for k, q in _strip(sh).items():
-            _add_packed_product_into(sums, k, q, gb[p])
-    dg = _packed_partials(g, w)
-    shifted = _shift_sums(_strip(sums), dg, 1, step)
-    sums = {}
-    while shifted:
-        # Largest power first, each freed once used: keeps peak memory low.
-        n, sh = shifted.popitem()
-        for k, q in _strip(sh).items():
-            _add_packed_product_into(sums, k, q, dg[n])
-    # Unpacked one power at a time, with the rows freed first, so at most
-    # one power is held in both forms.
-    rows.clear()
-    for k, d in sums.items():
-        sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
-    return _wrap(sums)
+    key = (frozenset(f.terms.items()), w, ctx.central_charge)
+    powers = sides.get(key)
+    if powers is None:
+        base = _strip(_neg_shift_sums(_packed_partials(f, w), step))
+        gb = {p: {_pack(m, w): c for m, c in q.terms.items()}
+              for p, q in gen_bracket(ctx).terms.items()}
+        mid: dict = {}
+        for p, sh in _shift_sums(base, gb, 1, step).items():
+            for k, q in _strip(sh).items():
+                _add_packed_product_into(mid, k, q, gb[p])
+        powers = sides[key] = {0: _strip(mid)}
+    missing = [n for n in ns if n not in powers]
+    if missing:
+        for n, sh in _shift_sums(powers[0], missing, 1, step).items():
+            powers[n] = _strip(sh)
+    return powers
 
 
 def _pack(m: tuple, w: int) -> int:
@@ -272,15 +324,18 @@ def _pack(m: tuple, w: int) -> int:
     return sum(1 << (w * k) for k in m)
 
 
-def _unpack(key: int, w: int) -> tuple:
-    """The monomial tuple of a packed key, highest order first."""
+def _unpack(key: int, w: int, tuples: dict) -> tuple:
+    """The monomial tuple of a packed key, highest order first, kept in
+    tuples under the key."""
     out: list = []
-    while key:
-        s = (key.bit_length() - 1) // w * w
-        c = key >> s
-        key -= c << s
+    x = key
+    while x:
+        s = (x.bit_length() - 1) // w * w
+        c = x >> s
+        x -= c << s
         out += [s // w] * c
-    return tuple(out)
+    t = tuples[key] = tuple(out)
+    return t
 
 
 def _packed_partials(f: DiffPoly, w: int) -> dict:

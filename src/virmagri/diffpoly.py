@@ -10,6 +10,7 @@ Coefficients are Python ints; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .sparse import Sparse
 
@@ -49,6 +50,19 @@ def mono_degree(m) -> int:
 def conformal_weight(m) -> int:
     """Each factor dkL contributes k + 2; the unit monomial has weight 0."""
     return sum(k + 2 for k in m)
+
+
+# 4,096 rows: a verification suite derives a few hundred distinct
+# monomials hundreds of thousands of times, so its whole working set fits
+# many times over, while a stream of distinct monomials (one call on a
+# huge operand) cannot keep more than 4,096 rows alive.
+@lru_cache(maxsize=4096)
+def _derive_row(m: tuple) -> tuple:
+    """The total derivative of monomial m as ((monomial, count), ...): one
+    entry per distinct order k in m, raising one factor dkL to d(k+1)L,
+    with the multiplicity of k as its count."""
+    return tuple((m[:i] + (k + 1,) + m[i + 1:], m.count(k))
+                 for i, k in enumerate(m) if not i or k != m[i - 1])
 
 
 class DiffPoly(Sparse):
@@ -95,16 +109,10 @@ class DiffPoly(Sparse):
     def derive(self) -> "DiffPoly":
         """Total derivative: dkL goes to d(k+1)L, extended by the product rule."""
         out: dict = {}
+        get = out.get
         for m, c in self.terms.items():
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                count = j - i
-                newm = m[:i] + (m[i] + 1,) + m[i + 1:]
-                out[newm] = out.get(newm, 0) + c * count
-                i = j
+            for m2, n in _derive_row(m):
+                out[m2] = get(m2, 0) + c * n
         return DiffPoly(out)
 
     def partial_wrt(self, k: int) -> "DiffPoly":

@@ -100,8 +100,12 @@ class Partition:
 
     def union(self, other) -> "Partition":
         """Multiset union of the parts of both partitions."""
-        other = Partition(other)
-        return Partition(self.parts + other.parts)
+        if not isinstance(other, Partition):
+            return Partition(self.parts + Partition(other).parts)
+        # Both sides are canonical already: one sort, no validation.
+        out = Partition.__new__(Partition)
+        out.parts = tuple(sorted(self.parts + other.parts, reverse=True))
+        return out
 
     def insert_row(self, j: int) -> "Partition":
         """Insert one row of j boxes.  A row must hold at least one box."""

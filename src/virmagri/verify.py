@@ -401,8 +401,9 @@ def _check_hamiltonian(bounds: Bounds, ctx: AlgebraCtx) -> Cases:
     monos = _monomials_upto(bounds.deg(6))
     for a in monos:
         for b in monos:
+            case = _case(a, b)
             for n, d in hamiltonian_defects(a, b, ctx).items():
-                yield "hamiltonian", "%s, n=%d" % (_case(a, b), n), d, DiffPoly.zero()
+                yield "hamiltonian", "%s, n=%d" % (case, n), d, DiffPoly.zero()
 
 
 @_register("nth-product-spot", "brackets")

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -87,3 +88,25 @@ def test_sign_test_interval_on_few_pairs():
     got = bench_ab._ratio([i / 20 for i in range(20, 0, -1)])
     assert got["interval"] == [6 / 20, 15 / 20]
     assert got["confidence"] == pytest.approx(0.9586, abs=1e-4)
+
+
+def test_each_run_gets_a_fresh_bytecode_cache(monkeypatch):
+    seen = []
+
+    def fake(argv, cwd, env, capture_output, text):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        seen.append((cache, os.path.isdir(cache) and not os.listdir(cache)))
+        Path(cache, "stale.pyc").write_bytes(b"")
+        line = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m: {"value": 1.0} for m in bench_ab.METRICS}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake)
+    for checkout in ("parent", "change", "parent"):
+        assert bench_ab._run(checkout, "verify-all", 1, trace=False)["correct"]
+    caches = [cache for cache, _ in seen]
+    # Each run's cache exists and is empty when the run starts, is its
+    # own, and is gone once the run is over.
+    assert [fresh for _, fresh in seen] == [True] * 3
+    assert len(set(caches)) == 3
+    assert not any(os.path.exists(cache) for cache in caches)

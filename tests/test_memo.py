@@ -6,7 +6,8 @@ import contextlib
 import pytest
 
 from virmagri import AlgebraCtx, DiffPoly, brackets, verify
-from virmagri.brackets import bracket_master, bracket_memo
+from virmagri.brackets import bracket_master, bracket_memo, bracket_recursive
+from virmagri.partitions import partitions_upto
 from virmagri.verify import CHECKS, Bounds
 
 SMALL = Bounds(max_n=4, max_j=2, max_deg=3)
@@ -99,3 +100,50 @@ def test_jacobi_runs_the_formula_once_per_distinct_pair(formula_calls):
     rep = CHECKS["jacobi"](Bounds(), C1)
     assert rep.ok
     assert len(formula_calls) <= 1027
+
+
+def test_one_store_serves_every_width_and_charge():
+    # One f side per (f, w, charge): L meets g's that put w at 2 and 4,
+    # L^7 g's that put it at 4 and 5, all three charges in one store.
+    dL = DiffPoly.gen(1)
+    fs, gs = (L, L ** 7), (dL, dL * L ** 6, L ** 8)
+    ctxs = [AlgebraCtx(c) for c in (0, 1, -2)]
+    want = {(i, j, ctx): bracket_recursive(f, g, ctx)
+            for i, f in enumerate(fs) for j, g in enumerate(gs) for ctx in ctxs}
+    with bracket_memo():
+        for ctx in ctxs:
+            for i, f in enumerate(fs):
+                for j, g in enumerate(gs):
+                    assert bracket_master(f, g, ctx) == want[i, j, ctx]
+        assert set(brackets._memo.widths) == {2, 4, 5}
+        assert len(brackets._memo.f_sides) == 4 * len(ctxs)
+
+
+def test_memo_builds_each_f_side_once(monkeypatch, formula_calls):
+    # The 30 smallest monomials after the unit, up to degree 7.
+    monos = [tuple(v - 1 for v in p.parts) for p in partitions_upto(7)][1:31]
+    builds = []
+    neg_shift_sums = brackets._neg_shift_sums
+    monkeypatch.setattr(brackets, "_neg_shift_sums",
+                        lambda *args: builds.append(1) or neg_shift_sums(*args))
+    with bracket_memo():
+        got = {(a, b): bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), C1)
+               for a in monos for b in monos}
+    widths = {(a, (len(a) + len(b) + 1).bit_length()) for a in monos for b in monos}
+    assert len(monos) == 30 and len(formula_calls) == 900
+    assert len(builds) == len(widths) < 900
+    monkeypatch.undo()
+    for (a, b), br in got.items():
+        assert br == bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), C1)
+
+
+def test_store_is_dropped_on_exit():
+    with bracket_memo():
+        bracket_master(L, L, C1)
+        assert brackets._memo.results and brackets._memo.f_sides
+    assert brackets._memo is None
+    with pytest.raises(RuntimeError):
+        with bracket_memo():
+            bracket_master(L, L * L, C1)
+            raise RuntimeError("boom")
+    assert brackets._memo is None

@@ -30,6 +30,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from math import comb
 
 METRICS = ("wall_s", "peak_rss_mb", "setup_s")
@@ -46,7 +47,11 @@ def _commit(checkout: str) -> str:
 def _run(checkout: str, workload: str, seed: int, trace: bool) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "1" if trace else "0"]
-    p = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    # A fresh bytecode cache per run: a stale __pycache__ left in either
+    # checkout cannot then make one side's imports cheaper than the other's.
+    with tempfile.TemporaryDirectory(prefix="bench_ab_pycache_") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        p = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if p.returncode:
         raise SystemExit("bench_ab: %s exited %d:\n%s" % (checkout, p.returncode, p.stderr[-2000:]))
     result = json.loads(p.stdout.strip().splitlines()[-1])
