@@ -95,13 +95,17 @@ def test_each_run_gets_a_fresh_bytecode_cache(monkeypatch):
 
     def fake(argv, cwd, env, capture_output, text):
         cache = env["PYTHONPYCACHEPREFIX"]
-        seen.append((cache, os.path.isdir(cache) and not os.listdir(cache)))
+        # Fresh, and written to: without writes every run would compile
+        # the standard library in every interpreter it starts.
+        fresh = os.path.isdir(cache) and not os.listdir(cache)
+        seen.append((cache, fresh and "PYTHONDONTWRITEBYTECODE" not in env))
         Path(cache, "stale.pyc").write_bytes(b"")
         line = {"correct": True, "attempted": 1, "failed": 0,
                 "metrics": {m: {"value": 1.0} for m in bench_ab.METRICS}}
         return subprocess.CompletedProcess(argv, 0, json.dumps(line) + "\n", "")
 
     monkeypatch.setattr(bench_ab.subprocess, "run", fake)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     for checkout in ("parent", "change", "parent"):
         assert bench_ab._run(checkout, "verify-all", 1, trace=False)["correct"]
     caches = [cache for cache, _ in seen]

@@ -6,7 +6,9 @@ for instance a `git clone` of the commit to measure.  Each of the PAIRS
 pairs runs the workload once on each side, for perfbench's own run
 length; pair i uses seed first_seed + i, the parent first on even i and
 the change first on odd i, so drift of the host falls on both sides
-alike.  Standard library only; one perfbench run at a time.
+alike.  Each run gets a fresh bytecode cache (PYTHONPYCACHEPREFIX), so a
+stale __pycache__ in either checkout cannot skew its set-up time.
+Standard library only; one perfbench run at a time.
 
     python3 tools/bench_ab.py --parent ../parent --change ../change \\
         --workload verify-all --first-seed 11 --trace --out BENCH_pr6.json
@@ -49,8 +51,12 @@ def _run(checkout: str, workload: str, seed: int, trace: bool) -> dict:
             "--trace", "1" if trace else "0"]
     # A fresh bytecode cache per run: a stale __pycache__ left in either
     # checkout cannot then make one side's imports cheaper than the other's.
+    # The run's first interpreter fills the cache and the rest read it;
+    # with bytecode writes off, every interpreter would compile the
+    # standard library and the package from source instead.
     with tempfile.TemporaryDirectory(prefix="bench_ab_pycache_") as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         p = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if p.returncode:
         raise SystemExit("bench_ab: %s exited %d:\n%s" % (checkout, p.returncode, p.stderr[-2000:]))
