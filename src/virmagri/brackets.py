@@ -10,8 +10,8 @@ closed-form sum over generator partials of the shifted generator
 bracket in three stages (the partials of f under lambda -> -lambda-d,
 the generator bracket, the g side), each getting all its powers of
 (lambda+d) from one derivative chain per coefficient; the first two give
-the f side, which depends on f and the charge only.  bracket_recursive reduces arguments step by step through
-the product rule and skew-symmetry down to pairs of single generators,
+the f side, which depends on f and the charge only.  bracket_recursive
+reduces arguments step by step through the product rule and skew-symmetry down to pairs of single generators,
 whose bracket (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by
 term; its leaf and its skew flip are its own code, so a fault in the
 shift loops cannot reach both sides.  They must agree everywhere; the
@@ -32,12 +32,13 @@ bracket_memo() context one store serves every call: it remembers each
 result, keyed on both arguments' terms (coefficients included) and the
 charge; each left operand's f side with the powers of (lambda+d) asked
 of it so far, keyed on (f terms, w, charge); and per width w each packed
-monomial's derivative and unpacked tuple.  So within a context each f
-side is built once, and a new g against it costs one pass of products
-and unpacking, plus any power of (lambda+d) no earlier g asked for.
-Outside a context each call has a store
-of its own, dropped when it returns.  bracket_recursive brackets each
-monomial pair once per call and keeps nothing between calls.
+monomial's derivative.  So within a context each f side is built once,
+and a new g against it costs one pass of products and unpacking, plus
+any power of (lambda+d) no earlier g asked for.  Outside a context each
+call has a store of its own, dropped before its result is unpacked.
+When the outermost context exits it also clears DiffPoly.derive's row
+cache.  bracket_recursive brackets each monomial pair once per call and
+keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from math import comb, factorial
 
-from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono, mono_mul
+from .diffpoly import AlgebraCtx, DiffPoly, _derive_row, conformal_weight, mono, mono_mul
 from .errors import DomainError
 from .sparse import Sparse, acc
 
@@ -194,14 +195,14 @@ class _Store:
     or within one call outside any: its results, keyed on both arguments'
     terms and the charge; the f sides (see _f_side), keyed on (f terms, w,
     charge); and, for each field width w, the packed derivative rows (see
-    _derive_packed) and the monomial tuples of unpacked keys."""
+    _derive_packed)."""
 
-    __slots__ = ("results", "f_sides", "widths")
+    __slots__ = ("results", "f_sides", "rows")
 
     def __init__(self):
         self.results: dict = {}
         self.f_sides: dict = {}
-        self.widths: dict = {}
+        self.rows: dict = {}
 
 
 _memo: _Store | None = None
@@ -213,13 +214,14 @@ def bracket_memo():
 
     While open, one store (see _Store) keeps every distinct bracket
     computed, each left operand's f side with its powers of (lambda+d),
-    and each field width's derivative rows and unpacked monomials, so a
-    bracket met again is a lookup and a new g against a known f is one
+    and each field width's derivative rows, so a bracket met again is a lookup and a new g against a known f is one
     pass of products and unpacking.  A nested context shares the store of
     the one around it.  Callers of one argument pair share one result
     value, which, like every Sparse value, is never mutated.  The store
     grows with the distinct operands met, so keep the scope small: one
-    verification sweep, not a whole suite.
+    verification sweep, not a whole suite.  On exit the outermost context
+    also clears DiffPoly.derive's row cache, so its rows live no longer
+    than the store.
     """
     global _memo
     if _memo is not None:
@@ -230,6 +232,7 @@ def bracket_memo():
         yield
     finally:
         _memo = None
+        _derive_row.cache_clear()
 
 
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
@@ -253,34 +256,31 @@ def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     the sum on packed monomials (see _pack), w bits a field with
     w = (F + G + 1).bit_length(), F and G the most factors of a monomial
     of f and of g: no monomial met has more than F + G - 1 factors, so no
-    field can overflow.  Each key of the result is then unpacked once per
-    store: rows, f sides and unpacked monomials live in the open
-    bracket_memo() store, or outside one in a store of this call's own,
-    whose rows and f sides are freed before the unpacking starts.
+    field can overflow.  Rows and f sides live in the open bracket_memo()
+    store, or outside one in a store of this call's own, freed before the
+    result is unpacked.
     """
     most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
     w = (most + 1).bit_length()
-    sums, tuples = _g_side(f, g, w, ctx)
-    get = tuples.get
-    # The unit's tuple () is false, so its key 0 is unpacked anew: at once.
+    sums = _g_side(f, g, w, ctx)
     for k, d in sums.items():
-        sums[k] = {get(m) or _unpack(m, w, tuples): c for m, c in d.items() if c}
+        sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
     return _wrap(sums)
 
 
-def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> tuple[dict, dict]:
+def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> dict:
     """The packed sum {lambda power: {key: int}} of dg/du^(n) (lambda+d)^n
     M_f over the orders n of g, each term multiplied straight into the sum
-    of its lambda power, and the store's unpacked monomials of width w."""
+    of its lambda power."""
     store = _Store() if _memo is None else _memo
-    rows, tuples = store.widths.setdefault(w, ({}, {}))
+    rows = store.rows.setdefault(w, {})
     dg = _packed_partials(g, w)
     powers = _f_side(f, w, ctx, store.f_sides, dg, rows)
     sums: dict = {}
     for n in sorted(dg, reverse=True):
         for k, q in powers[n].items():
             _add_packed_product_into(sums, k, q, dg[n])
-    return sums, tuples
+    return sums
 
 
 def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, rows: dict) -> dict:
@@ -324,18 +324,15 @@ def _pack(m: tuple, w: int) -> int:
     return sum(1 << (w * k) for k in m)
 
 
-def _unpack(key: int, w: int, tuples: dict) -> tuple:
-    """The monomial tuple of a packed key, highest order first, kept in
-    tuples under the key."""
+def _unpack(key: int, w: int) -> tuple:
+    """The monomial tuple of a packed key, highest order first."""
     out: list = []
-    x = key
-    while x:
-        s = (x.bit_length() - 1) // w * w
-        c = x >> s
-        x -= c << s
+    while key:
+        s = (key.bit_length() - 1) // w * w
+        c = key >> s
+        key -= c << s
         out += [s // w] * c
-    t = tuples[key] = tuple(out)
-    return t
+    return tuple(out)
 
 
 def _packed_partials(f: DiffPoly, w: int) -> dict:

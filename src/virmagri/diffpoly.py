@@ -55,7 +55,12 @@ def conformal_weight(m) -> int:
 # 4,096 rows: a verification suite derives a few hundred distinct
 # monomials hundreds of thousands of times, so its whole working set fits
 # many times over, while a stream of distinct monomials (one call on a
-# huge operand) cannot keep more than 4,096 rows alive.
+# huge operand) cannot keep more than 4,096 rows alive.  A row holds one
+# tuple of deg(m) orders per distinct order of m, so the bound is on rows,
+# not bytes: 4,096 degree-12 rows hold about 10 MB, and the row of one
+# 1,000-factor monomial over 300 orders about 2.4 MB (tracemalloc).  The
+# outermost bracket_memo() clears the cache when it exits, so rows live
+# for one check of a verification sweep, like the rest of its store.
 @lru_cache(maxsize=4096)
 def _derive_row(m: tuple) -> tuple:
     """The total derivative of monomial m as ((monomial, count), ...): one

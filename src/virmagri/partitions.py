@@ -100,9 +100,8 @@ class Partition:
 
     def union(self, other) -> "Partition":
         """Multiset union of the parts of both partitions."""
-        if not isinstance(other, Partition):
-            return Partition(self.parts + Partition(other).parts)
-        # Both sides are canonical already: one sort, no validation.
+        other = Partition(other)
+        # Both sides are canonical now: one sort, no second validation.
         out = Partition.__new__(Partition)
         out.parts = tuple(sorted(self.parts + other.parts, reverse=True))
         return out

@@ -7,6 +7,7 @@ import pytest
 
 from virmagri import AlgebraCtx, DiffPoly, brackets, verify
 from virmagri.brackets import bracket_master, bracket_memo, bracket_recursive
+from virmagri.diffpoly import _derive_row
 from virmagri.partitions import partitions_upto
 from virmagri.verify import CHECKS, Bounds
 
@@ -115,7 +116,7 @@ def test_one_store_serves_every_width_and_charge():
             for i, f in enumerate(fs):
                 for j, g in enumerate(gs):
                     assert bracket_master(f, g, ctx) == want[i, j, ctx]
-        assert set(brackets._memo.widths) == {2, 4, 5}
+        assert set(brackets._memo.rows) == {2, 4, 5}
         assert len(brackets._memo.f_sides) == 4 * len(ctxs)
 
 
@@ -140,8 +141,11 @@ def test_memo_builds_each_f_side_once(monkeypatch, formula_calls):
 def test_store_is_dropped_on_exit():
     with bracket_memo():
         bracket_master(L, L, C1)
+        (L * L).derive()
         assert brackets._memo.results and brackets._memo.f_sides
+        assert _derive_row.cache_info().currsize
     assert brackets._memo is None
+    assert not _derive_row.cache_info().currsize
     with pytest.raises(RuntimeError):
         with bracket_memo():
             bracket_master(L, L * L, C1)
