@@ -32,10 +32,11 @@ bracket_memo() context one store serves every call: it remembers each
 result, keyed on both arguments' terms (coefficients included) and the
 charge; each left operand's f side with the powers of (lambda+d) asked
 of it so far, keyed on (f terms, w, charge); and per width w each packed
-monomial's derivative.  So within a context each f side is built once,
-and a new g against it costs one pass of products and unpacking, plus
-any power of (lambda+d) no earlier g asked for.  Outside a context each
-call has a store of its own, dropped before its result is unpacked.
+monomial's derivative and unpacked tuple.  So within a context each f
+side is built once, and a new g against it costs one pass of products
+and unpacking, plus any power of (lambda+d) no earlier g asked for.
+Outside a context each call has a store of its own, dropped before its
+result is unpacked, and unpacks without a cache.
 When the outermost context exits it also clears DiffPoly.derive's row
 cache.  bracket_recursive brackets each monomial pair once per call and
 keeps nothing between calls.
@@ -195,14 +196,16 @@ class _Store:
     or within one call outside any: its results, keyed on both arguments'
     terms and the charge; the f sides (see _f_side), keyed on (f terms, w,
     charge); and, for each field width w, the packed derivative rows (see
-    _derive_packed)."""
+    _derive_packed) and, in a bracket_memo() store only, the monomial
+    tuples of unpacked keys."""
 
-    __slots__ = ("results", "f_sides", "rows")
+    __slots__ = ("results", "f_sides", "rows", "tuples")
 
     def __init__(self):
         self.results: dict = {}
         self.f_sides: dict = {}
         self.rows: dict = {}
+        self.tuples: dict = {}
 
 
 _memo: _Store | None = None
@@ -214,7 +217,8 @@ def bracket_memo():
 
     While open, one store (see _Store) keeps every distinct bracket
     computed, each left operand's f side with its powers of (lambda+d),
-    and each field width's derivative rows, so a bracket met again is a lookup and a new g against a known f is one
+    and each field width's derivative rows and unpacked monomials, so a
+    bracket met again is a lookup and a new g against a known f is one
     pass of products and unpacking.  A nested context shares the store of
     the one around it.  Callers of one argument pair share one result
     value, which, like every Sparse value, is never mutated.  The store
@@ -258,13 +262,25 @@ def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     of f and of g: no monomial met has more than F + G - 1 factors, so no
     field can overflow.  Rows and f sides live in the open bracket_memo()
     store, or outside one in a store of this call's own, freed before the
-    result is unpacked.
+    result is unpacked.  Inside a memo each key of the result is unpacked
+    once per store; outside one each is unpacked on its own.
     """
     most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
     w = (most + 1).bit_length()
     sums = _g_side(f, g, w, ctx)
+    if _memo is None:
+        for k, d in sums.items():
+            sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
+        return _wrap(sums)
+    # A check's brackets share most of their monomials, so inside a memo
+    # each key is unpacked once per store.  Outside one a cache would only
+    # cost a hash and an insert per term: a bracket of homogeneous
+    # operands never has one monomial at two lambda powers.
+    tuples = _memo.tuples.setdefault(w, {})
+    get, put = tuples.get, tuples.setdefault
+    # The unit's tuple () is false, so its key 0 is unpacked anew: at once.
     for k, d in sums.items():
-        sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
+        sums[k] = {get(m) or put(m, _unpack(m, w)): c for m, c in d.items() if c}
     return _wrap(sums)
 
 

@@ -116,7 +116,7 @@ def test_one_store_serves_every_width_and_charge():
             for i, f in enumerate(fs):
                 for j, g in enumerate(gs):
                     assert bracket_master(f, g, ctx) == want[i, j, ctx]
-        assert set(brackets._memo.rows) == {2, 4, 5}
+        assert set(brackets._memo.rows) == set(brackets._memo.tuples) == {2, 4, 5}
         assert len(brackets._memo.f_sides) == 4 * len(ctxs)
 
 
