@@ -25,21 +25,14 @@ a product of monomials is one integer add.  w is chosen per call from
 the operands, wide enough that no field can overflow.  The partials of f
 and g are packed on entry, and the result is unpacked at the end.  The
 public LambdaPoly shift methods run the same binomial loops
-(_shift_sums, _neg_shift_sums) on tuple keys through DiffPoly.derive.
+(_shift_sums, _neg_shift_sums) on tuple keys.  Every derivative step in
+the package is diffpoly.derive_terms, its one derivative loop; the
+monomial form enters through the row source it is given: DiffPoly's
+cached rows of tuple monomials, or a _Rows of packed ones.
 
-bracket_master keeps its work in a store (_Store).  Inside a
-bracket_memo() context one store serves every call: it remembers each
-result, keyed on both arguments' terms (coefficients included) and the
-charge; each left operand's f side with the powers of (lambda+d) asked
-of it so far, keyed on (f terms, w, charge); and per width w each packed
-monomial's derivative and unpacked tuple.  So within a context each f
-side is built once, and a new g against it costs one pass of products
-and unpacking, plus any power of (lambda+d) no earlier g asked for.
-Outside a context each call has a store of its own, dropped before its
-result is unpacked, and unpacks without a cache.
-When the outermost context exits it also clears DiffPoly.derive's row
-cache.  bracket_recursive brackets each monomial pair once per call and
-keeps nothing between calls.
+bracket_master keeps its work in a _Store, which a bracket_memo()
+context shares across calls.  bracket_recursive brackets each monomial
+pair once per call and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -47,7 +40,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from math import comb, factorial
 
-from .diffpoly import AlgebraCtx, DiffPoly, _derive_row, conformal_weight, mono, mono_mul
+from .diffpoly import (AlgebraCtx, DiffPoly, _derive_row, conformal_weight, derive_terms, mono,
+                       mono_mul)
 from .errors import DomainError
 from .sparse import Sparse, acc
 
@@ -66,38 +60,34 @@ class LambdaPoly(Sparse):
         return self.terms.get(k, DiffPoly.zero())
 
     def lambda_shift(self, m: int, sign: int = 1) -> "LambdaPoly":
-        """Multiply by (sign*lambda)^m; no derivative acts."""
+        """Multiply by (sign*lambda)^m, m >= 0; no derivative acts."""
+        _check_exponent(m)
         s = -1 if (sign < 0 and m % 2) else 1
         return LambdaPoly._nonzero({k + m: p * s for k, p in self.terms.items()})
 
     def shift_apply(self, m: int, sign: int = 1) -> "LambdaPoly":
-        """Apply (sign*(lambda + d))^m."""
-        return self.shifts((m,), sign)[m]
-
-    def shifts(self, ms, sign: int = 1) -> dict[int, "LambdaPoly"]:
-        """{m: (sign*(lambda + d))^m self} for every m in ms, in ascending m;
-        see _shift_sums."""
-        sums = _shift_sums(self._plain(), ms, sign, _derive_terms)
-        return {m: _wrap(s) for m, s in sums.items()}
+        """Apply (sign*(lambda + d))^m, m >= 0; see _shift_sums."""
+        _check_exponent(m)
+        return _wrap(_shift_sums(self._plain(), (m,), sign, _derive_row)[m])
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d (the derivative acting on the
         coefficient it lands on); see _neg_shift_sums."""
-        return _wrap(_neg_shift_sums(self._plain(), _derive_terms))
+        return _wrap(_neg_shift_sums(self._plain(), _derive_row))
 
     def _plain(self) -> dict:
         return {k: p.terms for k, p in self.terms.items()}
 
 
-def _derive_terms(terms: dict) -> dict:
-    """The derivative step of the public shift methods: DiffPoly.derive."""
-    return DiffPoly._nonzero(terms).derive().terms
+def _check_exponent(m: int) -> None:
+    if m < 0:
+        raise DomainError("exponent must be non-negative, got %d" % m)
 
 
-def _shift_sums(terms: dict, ms, sign: int, derive) -> dict:
+def _shift_sums(terms: dict, ms, sign: int, row_of) -> dict:
     """{m: {power: {monomial: int}}} of (sign*(lambda + d))^m for every m in
-    ms, terms being {power: {monomial: int}} and derive one derivative
-    step on such a dict, returning it without zeros.
+    ms, terms being {power: {monomial: int}} and row_of the row source
+    each derivative step passes to derive_terms.
 
     lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
     coefficient's derivative chain runs once, up to max(ms), and each
@@ -112,20 +102,20 @@ def _shift_sums(terms: dict, ms, sign: int, derive) -> dict:
                 if m < k:
                     break
                 _add_into(sums, j + m - k, p, row[k])
-            if k == top or not (p := derive(p)):
+            if k == top or not (p := derive_terms(p, row_of)):
                 break
     return {m: sums for m, _, sums in reversed(rows)}
 
 
-def _neg_shift_sums(terms: dict, derive) -> dict:
-    """lambda -> -lambda - d on {power: {monomial: int}}, derive as in
+def _neg_shift_sums(terms: dict, row_of) -> dict:
+    """lambda -> -lambda - d on {power: {monomial: int}}, row_of as in
     _shift_sums: lambda^k P goes to sum_r (-1)^k C(k,r) lambda^(k-r) d^r P."""
     sums: dict = {}
     for k, p in terms.items():
         s = -1 if k % 2 else 1
         for r in range(k + 1):
             _add_into(sums, k - r, p, s * comb(k, r))
-            if r == k or not (p := derive(p)):
+            if r == k or not (p := derive_terms(p, row_of)):
                 break
     return sums
 
@@ -192,20 +182,52 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
 
 
 class _Store:
-    """What bracket_master shares while a bracket_memo() context is open,
-    or within one call outside any: its results, keyed on both arguments'
-    terms and the charge; the f sides (see _f_side), keyed on (f terms, w,
-    charge); and, for each field width w, the packed derivative rows (see
-    _derive_packed) and, in a bracket_memo() store only, the monomial
-    tuples of unpacked keys."""
+    """What bracket_master keeps.  Inside a bracket_memo() context one
+    store serves every call; outside one each call has a store of its
+    own, freed before its result is unpacked.
 
-    __slots__ = ("results", "f_sides", "rows", "tuples")
+    results: each bracket, keyed on both arguments' terms (coefficients
+        included) and the charge; filled inside a context only.
+    f_sides: each left operand's f side with the powers of (lambda+d)
+        asked of it so far (see _f_side), keyed on (f terms, w, charge).
+        So within a context each f side is built once, and a new g
+        against it costs one pass of products and unpacking, plus any
+        power no earlier g asked for.
+    rows: for each field width w, the _Rows of packed derivatives met.
+
+    The store grows with the distinct operands met; a context should
+    span one verification sweep, not a whole suite.
+    """
+
+    __slots__ = ("results", "f_sides", "rows")
 
     def __init__(self):
         self.results: dict = {}
         self.f_sides: dict = {}
         self.rows: dict = {}
-        self.tuples: dict = {}
+
+
+class _Rows(dict):
+    """The derivatives of packed monomials of field width w, each built on
+    first use: self[key] is ((key, count), ...), the derivative of key as
+    derive_terms reads it.  d on the c factors dkL adds (2^w - 1) << (w*k),
+    one factor taken from field k to field k + 1, with multiplicity c."""
+
+    __slots__ = ("w",)
+
+    def __init__(self, w: int):
+        super().__init__()
+        self.w = w
+
+    def __missing__(self, key: int) -> tuple:
+        w, row, x = self.w, [], key
+        while x:
+            s = (x.bit_length() - 1) // w * w
+            n = x >> s
+            x -= n << s
+            row.append((key + (((1 << w) - 1) << s), n))
+        row = self[key] = tuple(row)
+        return row
 
 
 _memo: _Store | None = None
@@ -213,19 +235,12 @@ _memo: _Store | None = None
 
 @contextmanager
 def bracket_memo():
-    """Share bracket_master's work until the outermost context exits.
-
-    While open, one store (see _Store) keeps every distinct bracket
-    computed, each left operand's f side with its powers of (lambda+d),
-    and each field width's derivative rows and unpacked monomials, so a
-    bracket met again is a lookup and a new g against a known f is one
-    pass of products and unpacking.  A nested context shares the store of
-    the one around it.  Callers of one argument pair share one result
-    value, which, like every Sparse value, is never mutated.  The store
-    grows with the distinct operands met, so keep the scope small: one
-    verification sweep, not a whole suite.  On exit the outermost context
-    also clears DiffPoly.derive's row cache, so its rows live no longer
-    than the store.
+    """Share bracket_master's work in one _Store until the outermost
+    context exits; a nested context shares the store of the one around
+    it.  A bracket met again is a lookup, and callers of one argument pair
+    share one result value, which, like every Sparse value, is never
+    mutated.  On exit the outermost context also clears DiffPoly's row
+    cache (_derive_row), so its rows live no longer than the store.
     """
     global _memo
     if _memo is not None:
@@ -260,27 +275,13 @@ def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     the sum on packed monomials (see _pack), w bits a field with
     w = (F + G + 1).bit_length(), F and G the most factors of a monomial
     of f and of g: no monomial met has more than F + G - 1 factors, so no
-    field can overflow.  Rows and f sides live in the open bracket_memo()
-    store, or outside one in a store of this call's own, freed before the
-    result is unpacked.  Inside a memo each key of the result is unpacked
-    once per store; outside one each is unpacked on its own.
+    field can overflow.
     """
     most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
     w = (most + 1).bit_length()
     sums = _g_side(f, g, w, ctx)
-    if _memo is None:
-        for k, d in sums.items():
-            sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
-        return _wrap(sums)
-    # A check's brackets share most of their monomials, so inside a memo
-    # each key is unpacked once per store.  Outside one a cache would only
-    # cost a hash and an insert per term: a bracket of homogeneous
-    # operands never has one monomial at two lambda powers.
-    tuples = _memo.tuples.setdefault(w, {})
-    get, put = tuples.get, tuples.setdefault
-    # The unit's tuple () is false, so its key 0 is unpacked anew: at once.
     for k, d in sums.items():
-        sums[k] = {get(m) or put(m, _unpack(m, w)): c for m, c in d.items() if c}
+        sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
     return _wrap(sums)
 
 
@@ -289,9 +290,11 @@ def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> dict:
     M_f over the orders n of g, each term multiplied straight into the sum
     of its lambda power."""
     store = _Store() if _memo is None else _memo
-    rows = store.rows.setdefault(w, {})
+    rows = store.rows.get(w)
+    if rows is None:
+        rows = store.rows[w] = _Rows(w)
     dg = _packed_partials(g, w)
-    powers = _f_side(f, w, ctx, store.f_sides, dg, rows)
+    powers = _f_side(f, w, ctx, store.f_sides, dg, rows.__getitem__)
     sums: dict = {}
     for n in sorted(dg, reverse=True):
         for k, q in powers[n].items():
@@ -299,7 +302,7 @@ def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> dict:
     return sums
 
 
-def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, rows: dict) -> dict:
+def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, row_of) -> dict:
     """{n: (lambda+d)^n M_f} on packed keys of width w, for 0 and at least
     every n in ns, M_f being the f side of the master formula.
 
@@ -308,28 +311,25 @@ def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, rows: dict) -
     (-lambda-d)^m df/du^(m); then the generator bracket c_p lambda^p
     acting on it from the right as sum_p c_p (lambda+d)^p.  The second
     stage and the powers each take every power they need from one
-    _shift_sums call, one derivative chain per coefficient, its steps
-    looked up in rows (see _derive_packed).  The powers are kept in sides
+    _shift_sums call, one derivative chain per coefficient, its rows
+    from row_of (a _Rows of width w).  The powers are kept in sides
     under (f terms, w, charge), M_f as power 0; a later call asking for an
     n not there yet adds it from M_f.
     """
-    def step(terms: dict) -> dict:
-        return _derive_packed(terms, w, rows)
-
     key = (frozenset(f.terms.items()), w, ctx.central_charge)
     powers = sides.get(key)
     if powers is None:
-        base = _strip(_neg_shift_sums(_packed_partials(f, w), step))
+        base = _strip(_neg_shift_sums(_packed_partials(f, w), row_of))
         gb = {p: {_pack(m, w): c for m, c in q.terms.items()}
               for p, q in gen_bracket(ctx).terms.items()}
         mid: dict = {}
-        for p, sh in _shift_sums(base, gb, 1, step).items():
+        for p, sh in _shift_sums(base, gb, 1, row_of).items():
             for k, q in _strip(sh).items():
                 _add_packed_product_into(mid, k, q, gb[p])
         powers = sides[key] = {0: _strip(mid)}
     missing = [n for n in ns if n not in powers]
     if missing:
-        for n, sh in _shift_sums(powers[0], missing, 1, step).items():
+        for n, sh in _shift_sums(powers[0], missing, 1, row_of).items():
             powers[n] = _strip(sh)
     return powers
 
@@ -360,30 +360,6 @@ def _packed_partials(f: DiffPoly, w: int) -> dict:
             d = out.setdefault(k, {})
             m2 = key - (1 << (w * k))
             d[m2] = d.get(m2, 0) + c * m.count(k)
-    return out
-
-
-def _derive_packed(terms: dict, w: int, rows: dict) -> dict:
-    """The total derivative of packed terms, without zeros.  rows maps a
-    key to its derivative ((key, count), ...): d on the c factors dkL adds
-    (2^w - 1) << (w*k), one factor taken from field k to field k + 1, with
-    multiplicity c."""
-    out: dict = {}
-    get = out.get
-    for m, c in terms.items():
-        row = rows.get(m)
-        if row is None:
-            row, x = [], m
-            while x:
-                s = (x.bit_length() - 1) // w * w
-                n = x >> s
-                x -= n << s
-                row.append((m + (((1 << w) - 1) << s), n))
-            row = rows[m] = tuple(row)
-        for m2, n in row:
-            out[m2] = get(m2, 0) + c * n
-    if 0 in out.values():
-        out = {m: c for m, c in out.items() if c}
     return out
 
 

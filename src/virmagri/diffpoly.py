@@ -70,6 +70,21 @@ def _derive_row(m: tuple) -> tuple:
                  for i, k in enumerate(m) if not i or k != m[i - 1])
 
 
+def derive_terms(terms: dict, row=_derive_row) -> dict:
+    """The total derivative of {monomial: int} terms, without zeros: the
+    package's one derivative loop.  row(m) is the derivative of monomial
+    m as ((monomial, count), ...); the default serves tuple monomials, and
+    bracket_master passes rows of its packed monomials."""
+    out: dict = {}
+    get = out.get
+    for m, c in terms.items():
+        for m2, n in row(m):
+            out[m2] = get(m2, 0) + c * n
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return out
+
+
 class DiffPoly(Sparse):
     """Sparse integer polynomial in the generators dkL.
 
@@ -113,12 +128,7 @@ class DiffPoly(Sparse):
 
     def derive(self) -> "DiffPoly":
         """Total derivative: dkL goes to d(k+1)L, extended by the product rule."""
-        out: dict = {}
-        get = out.get
-        for m, c in self.terms.items():
-            for m2, n in _derive_row(m):
-                out[m2] = get(m2, 0) + c * n
-        return DiffPoly(out)
+        return DiffPoly._nonzero(derive_terms(self.terms))
 
     def partial_wrt(self, k: int) -> "DiffPoly":
         """Formal partial derivative with respect to the generator dkL,

@@ -25,8 +25,9 @@ from virmagri import (
     partitions_upto,
     skew_defect,
 )
-from virmagri.brackets import _flip, _leaf
-from virmagri.diffpoly import mono_degree
+from virmagri import brackets
+from virmagri.brackets import _Rows, _flip, _leaf, _pack, _shift_sums, _unpack, _wrap
+from virmagri.diffpoly import _derive_row, derive_terms, mono_degree
 
 C0 = AlgebraCtx(0)
 C1 = AlgebraCtx(1)
@@ -72,35 +73,41 @@ def test_shift_apply_matches_stepwise_model(terms, m, sign):
 @given(st.dictionaries(st.integers(0, 4), diffpoly_st(5), max_size=4),
        st.sets(st.integers(0, 12), max_size=5), st.sampled_from([1, -1]))
 def test_shifts_match_stepwise_model(terms, ms, sign):
+    # Several orders at once, as bracket_master's f side asks for them.
     # Orders up to 12 run past the vanishing derivative of a low-degree
     # coefficient, so a chain stops early while larger m are still open.
     P = LambdaPoly(terms)
-    got = P.shifts(ms, sign)
+    got = _shift_sums(P._plain(), ms, sign, _derive_row)
     assert sorted(got) == sorted(ms)
     for m in ms:
-        assert got[m] == stepwise_shift(P, m, sign)
+        assert _wrap(got[m]) == stepwise_shift(P, m, sign)
+
+
+def _count_derive_steps(monkeypatch) -> list:
+    """Count the calls of the derivative loop made through brackets."""
+    calls = []
+    monkeypatch.setattr(brackets, "derive_terms",
+                        lambda *args: calls.append(1) or derive_terms(*args))
+    return calls
 
 
 def test_shifts_take_one_derivative_chain(monkeypatch):
-    calls = []
-    derive = DiffPoly.derive
-    monkeypatch.setattr(DiffPoly, "derive", lambda self: calls.append(1) or derive(self))
+    calls = _count_derive_steps(monkeypatch)
     # The constant's chain ends after one step, below every order asked for.
     P = LambdaPoly({0: L * L, 2: dL, 3: DiffPoly.const(5)})
-    got = P.shifts((1, 4, 9), -1)
-    assert len(calls) <= 9 + 9 + 1
+    got = _shift_sums(P._plain(), (1, 4, 9), -1, _derive_row)
+    assert 0 < len(calls) <= 9 + 9 + 1
     monkeypatch.undo()
-    assert got == {m: stepwise_shift(P, m, -1) for m in (1, 4, 9)}
-    assert LambdaPoly.zero().shifts((3,)) == {3: LambdaPoly.zero()}
-    assert P.shifts(()) == {}
+    assert {m: _wrap(s) for m, s in got.items()} == {m: stepwise_shift(P, m, -1)
+                                                    for m in (1, 4, 9)}
+    assert _shift_sums({}, (3,), 1, _derive_row) == {3: {}}
+    assert _shift_sums(P._plain(), (), 1, _derive_row) == {}
 
 
 def test_shift_apply_takes_one_derivative_chain(monkeypatch):
-    calls = []
-    derive = DiffPoly.derive
-    monkeypatch.setattr(DiffPoly, "derive", lambda self: calls.append(1) or derive(self))
+    calls = _count_derive_steps(monkeypatch)
     got = LambdaPoly.of(L).shift_apply(1500, 1)
-    assert len(calls) <= 1500
+    assert 0 < len(calls) <= 1500
     monkeypatch.undo()
     assert got == LambdaPoly({1500 - k: DiffPoly.gen(k) * comb(1500, k) for k in range(1501)})
 
@@ -150,7 +157,7 @@ def test_oracle_runs_without_the_shift_methods(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran a LambdaPoly shift method")
 
-    for name in ("shifts", "shift_apply", "subst_neg_shift"):
+    for name in ("shift_apply", "subst_neg_shift"):
         monkeypatch.setattr(LambdaPoly, name, refuse)
     for i, (f, g) in enumerate(inputs):
         for ctx in CHARGES:
@@ -169,6 +176,16 @@ def test_lambda_shift_signs():
     base = LambdaPoly({0: L, 2: dL})
     assert base.lambda_shift(1, -1) == LambdaPoly({1: -L, 3: -dL})
     assert base.lambda_shift(2, -1) == LambdaPoly({2: L, 4: dL})
+
+
+def test_negative_exponents_are_refused():
+    # A negative power of lambda has no text form that parses back, and
+    # (lambda + d)^m has no meaning for m < 0.
+    base = LambdaPoly({0: L, 2: dL})
+    for sign in (1, -1):
+        for op in (base.lambda_shift, base.shift_apply):
+            with pytest.raises(DomainError):
+                op(-1, sign)
 
 
 @given(diffpoly_st(6))
@@ -435,8 +452,6 @@ def test_kernel_matches_oracle_on_zero_unit_and_constants():
 
 
 def test_oracle_runs_without_the_kernel(monkeypatch):
-    from virmagri import brackets
-
     inputs = _oracle_gate_inputs() + _width_gate_inputs()[:6]
     want = {(i, ctx): bracket_master(f, g, ctx)
             for i, (f, g) in enumerate(inputs) for ctx in CHARGES}
@@ -445,7 +460,7 @@ def test_oracle_runs_without_the_kernel(monkeypatch):
         raise AssertionError("the oracle ran bracket_master's kernel")
 
     for name in ("_bracket_master", "_shift_sums", "_neg_shift_sums", "_pack", "_unpack",
-                 "_packed_partials", "_derive_packed", "_add_packed_product_into"):
+                 "_packed_partials", "_Rows", "derive_terms", "_add_packed_product_into"):
         monkeypatch.setattr(brackets, name, refuse)
     for i, (f, g) in enumerate(inputs):
         for ctx in CHARGES:
@@ -453,20 +468,30 @@ def test_oracle_runs_without_the_kernel(monkeypatch):
 
 
 def test_kernel_derive_budget(monkeypatch):
-    # The kernel's own derivative step, counted like DiffPoly.derive in
+    # The kernel's derivative steps, counted like DiffPoly.derive in
     # test_bracket_master_derive_budget: one chain per coefficient.
-    from virmagri import brackets
-
-    derive = brackets._derive_packed
     for d, budget in ((8, 130), (10, 200)):
         f, g = dense(d), dense(d, 2)
-        calls = []
-        monkeypatch.setattr(brackets, "_derive_packed",
-                            lambda *args: calls.append(1) or derive(*args))
+        calls = _count_derive_steps(monkeypatch)
         got = bracket_master(f, g, C1)
         assert 0 < len(calls) <= budget
         monkeypatch.undo()
         assert got == -bracket_master(g, f, C1).subst_neg_shift()
+
+
+@given(diffpoly_st(7, 4))
+def test_derive_terms_agrees_across_row_sources(f):
+    # The one derivative loop, fed packed rows of the width a kernel call
+    # on f alone would take, gives DiffPoly.derive's result.
+    w = (max(map(len, f.terms), default=0) + 1).bit_length()
+    packed = {_pack(m, w): c for m, c in f.terms.items()}
+    rows = _Rows(w)
+    got = derive_terms(packed, rows.__getitem__)
+    assert all(got.values())
+    assert DiffPoly({_unpack(m, w): c for m, c in got.items()}) == f.derive()
+    built = dict(rows)
+    assert derive_terms(packed, rows.__getitem__) == got
+    assert rows == built
 
 
 def test_kernel_keeps_nothing_between_calls():
