@@ -30,9 +30,10 @@ the package is diffpoly.derive_terms, its one derivative loop; the
 monomial form enters through the row source it is given: DiffPoly's
 cached rows of tuple monomials, or a _Rows of packed ones.
 
-bracket_master keeps its work in a _Store, which a bracket_memo()
-context shares across calls.  bracket_recursive brackets each monomial
-pair once per call and keeps nothing between calls.
+bracket_master keeps work on its operands, never a result, in a _Store,
+which a bracket_memo() context shares across calls.  bracket_recursive
+brackets each monomial pair once per call and keeps nothing between
+calls.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ class LambdaPoly(Sparse):
         s = -1 if (sign < 0 and m % 2) else 1
         return LambdaPoly._nonzero({k + m: p * s for k, p in self.terms.items()})
 
-    def shift_apply(self, m: int, sign: int = 1) -> "LambdaPoly":
-        """Apply (sign*(lambda + d))^m, m >= 0; see _shift_sums."""
+    def shift_apply(self, m: int) -> "LambdaPoly":
+        """Apply (lambda + d)^m, m >= 0; see _shift_sums."""
         _check_exponent(m)
-        return _wrap(_shift_sums(self._plain(), (m,), sign, _derive_row)[m])
+        return _wrap(_shift_sums(self._plain(), (m,), _derive_row)[m])
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d (the derivative acting on the
@@ -84,8 +85,8 @@ def _check_exponent(m: int) -> None:
         raise DomainError("exponent must be non-negative, got %d" % m)
 
 
-def _shift_sums(terms: dict, ms, sign: int, row_of) -> dict:
-    """{m: {power: {monomial: int}}} of (sign*(lambda + d))^m for every m in
+def _shift_sums(terms: dict, ms, row_of) -> dict:
+    """{m: {power: {monomial: int}}} of (lambda + d)^m for every m in
     ms, terms being {power: {monomial: int}} and row_of the row source
     each derivative step passes to derive_terms.
 
@@ -93,8 +94,7 @@ def _shift_sums(terms: dict, ms, sign: int, row_of) -> dict:
     coefficient's derivative chain runs once, up to max(ms), and each
     d^k P is added, scaled, straight into the sum of every m >= k.
     """
-    rows = [(m, [(-1 if sign < 0 and m % 2 else 1) * comb(m, k) for k in range(m + 1)], {})
-            for m in sorted(set(ms), reverse=True)]
+    rows = [(m, [comb(m, k) for k in range(m + 1)], {}) for m in sorted(set(ms), reverse=True)]
     top = rows[0][0] if rows else -1
     for j, p in terms.items():
         for k in range(top + 1):
@@ -182,27 +182,25 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
 
 
 class _Store:
-    """What bracket_master keeps.  Inside a bracket_memo() context one
-    store serves every call; outside one each call has a store of its
-    own, freed before its result is unpacked.
+    """What bracket_master keeps: work on its operands, never a result.
+    Inside a bracket_memo() context one store serves every call; outside
+    one each call has a store of its own, freed before its result is
+    unpacked.
 
-    results: each bracket, keyed on both arguments' terms (coefficients
-        included) and the charge; filled inside a context only.
     f_sides: each left operand's f side with the powers of (lambda+d)
         asked of it so far (see _f_side), keyed on (f terms, w, charge).
-        So within a context each f side is built once, and a new g
-        against it costs one pass of products and unpacking, plus any
-        power no earlier g asked for.
+        So within a context each f side is built once, and a g against
+        it costs one pass of products and unpacking, plus any power no
+        earlier g asked for; a pair met again costs that pass again.
     rows: for each field width w, the _Rows of packed derivatives met.
 
     The store grows with the distinct operands met; a context should
     span one verification sweep, not a whole suite.
     """
 
-    __slots__ = ("results", "f_sides", "rows")
+    __slots__ = ("f_sides", "rows")
 
     def __init__(self):
-        self.results: dict = {}
         self.f_sides: dict = {}
         self.rows: dict = {}
 
@@ -235,11 +233,9 @@ _memo: _Store | None = None
 
 @contextmanager
 def bracket_memo():
-    """Share bracket_master's work in one _Store until the outermost
-    context exits; a nested context shares the store of the one around
-    it.  A bracket met again is a lookup, and callers of one argument pair
-    share one result value, which, like every Sparse value, is never
-    mutated.  On exit the outermost context also clears DiffPoly's row
+    """Share bracket_master's operand work in one _Store until the
+    outermost context exits; a nested context shares the store of the one
+    around it.  On exit the outermost context also clears DiffPoly's row
     cache (_derive_row), so its rows live no longer than the store.
     """
     global _memo
@@ -255,19 +251,8 @@ def bracket_memo():
 
 
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
-    """Closed-form bracket of two differential polynomials, looked up in
-    the bracket_memo() store when one is open."""
-    if _memo is None:
-        return _bracket_master(f, g, ctx)
-    key = (frozenset(f.terms.items()), frozenset(g.terms.items()), ctx.central_charge)
-    br = _memo.results.get(key)
-    if br is None:
-        br = _memo.results[key] = _bracket_master(f, g, ctx)
-    return br
-
-
-def _bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
-    """The master formula behind bracket_master, its result not cached.
+    """Closed-form bracket of two differential polynomials by the master
+    formula.
 
     {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n M_f, M_f the f side of
     the formula: the partials of f put through the generator bracket,
@@ -323,13 +308,13 @@ def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, row_of) -> di
         gb = {p: {_pack(m, w): c for m, c in q.terms.items()}
               for p, q in gen_bracket(ctx).terms.items()}
         mid: dict = {}
-        for p, sh in _shift_sums(base, gb, 1, row_of).items():
+        for p, sh in _shift_sums(base, gb, row_of).items():
             for k, q in _strip(sh).items():
                 _add_packed_product_into(mid, k, q, gb[p])
         powers = sides[key] = {0: _strip(mid)}
     missing = [n for n in ns if n not in powers]
     if missing:
-        for n, sh in _shift_sums(powers[0], missing, 1, row_of).items():
+        for n, sh in _shift_sums(powers[0], missing, row_of).items():
             powers[n] = _strip(sh)
     return powers
 

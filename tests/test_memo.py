@@ -1,5 +1,5 @@
-"""The per-check bracket memo: what it keys on, where it is open, and that
-it changes no result."""
+"""The per-check bracket memo: what its store keys on, where it is open,
+and that it changes no result."""
 
 import contextlib
 
@@ -17,44 +17,42 @@ C1 = AlgebraCtx(1)
 
 
 @pytest.fixture
-def formula_calls(monkeypatch):
-    """Count the runs of the uncached master formula."""
+def builds(monkeypatch):
+    """Count the f sides built: each build starts with one _neg_shift_sums
+    call on the partials of f."""
     calls = []
-    formula = brackets._bracket_master
-
-    def counted(f, g, ctx):
-        calls.append((f, g))
-        return formula(f, g, ctx)
-
-    monkeypatch.setattr(brackets, "_bracket_master", counted)
+    neg_shift_sums = brackets._neg_shift_sums
+    monkeypatch.setattr(brackets, "_neg_shift_sums",
+                        lambda *args: calls.append(1) or neg_shift_sums(*args))
     return calls
 
 
-def test_memo_keys_on_coefficients(formula_calls):
+def test_memo_keys_on_coefficients(builds):
     with bracket_memo():
         one = bracket_master(L, L, C1)
         two = bracket_master(2 * L, L, C1)
         assert two == one.scale(2) and two != one
         assert bracket_master(L, L, AlgebraCtx(0)) != one
-        assert bracket_master(L, L, C1) is one
-    assert len(formula_calls) == 3
+        assert len(builds) == 3
+        assert bracket_master(L, L, C1) == one
+    assert len(builds) == 3
 
 
-def test_memo_is_closed_outside_the_context(formula_calls):
+def test_memo_is_closed_outside_the_context(builds):
     bracket_master(L, L, C1)
     bracket_master(L, L, C1)
-    assert len(formula_calls) == 2
+    assert len(builds) == 2
     with bracket_memo():
         bracket_master(L, L, C1)
         with bracket_memo():
             bracket_master(L, L, C1)
         bracket_master(L, L, C1)
-    assert len(formula_calls) == 3
+    assert len(builds) == 3
     bracket_master(L, L, C1)
-    assert len(formula_calls) == 4 and brackets._memo is None
+    assert len(builds) == 4 and brackets._memo is None
 
 
-def test_registry_opens_one_memo_per_check(monkeypatch, formula_calls):
+def test_registry_opens_one_memo_per_check(monkeypatch, builds):
     monkeypatch.setattr(verify, "CHECKS", dict(CHECKS))
     monkeypatch.setattr(verify, "GROUP_OF", dict(verify.GROUP_OF))
     seen = []
@@ -72,7 +70,7 @@ def test_registry_opens_one_memo_per_check(monkeypatch, formula_calls):
         raise RuntimeError("boom")
 
     rep = verify.CHECKS["memo-probe"](SMALL, C1)
-    assert seen == [True] and len(formula_calls) == 1
+    assert seen == [True] and len(builds) == 1
     assert rep.ok and len(rep.records) == 1
     assert brackets._memo is None
     with pytest.raises(RuntimeError):
@@ -80,7 +78,7 @@ def test_registry_opens_one_memo_per_check(monkeypatch, formula_calls):
     assert brackets._memo is None
     bracket_master(L, L, C1)
     bracket_master(L, L, C1)
-    assert len(formula_calls) == 4
+    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
@@ -94,13 +92,22 @@ def test_memo_changes_no_record(monkeypatch, name):
         assert cached == plain
 
 
-def test_jacobi_runs_the_formula_once_per_distinct_pair(formula_calls):
-    # 3,351 bracket_master calls at default bounds and c=1 meet 1,027
-    # distinct argument pairs; without the registry's memo every call
-    # runs the master formula.
+def test_jacobi_builds_one_f_side_per_distinct_left_operand(monkeypatch, builds):
+    # At default bounds and c=1 jacobi makes 3,351 bracket_master calls on
+    # 1,027 distinct argument pairs, which hold 339 distinct (f terms, w).
+    lefts = set()
+    master = brackets.bracket_master
+
+    def seen(f, g, ctx):
+        w = (max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
+             + 1).bit_length()
+        lefts.add((frozenset(f.terms.items()), w))
+        return master(f, g, ctx)
+
+    monkeypatch.setattr(brackets, "bracket_master", seen)
     rep = CHECKS["jacobi"](Bounds(), C1)
     assert rep.ok
-    assert len(formula_calls) <= 1027
+    assert len(builds) == len(lefts) == 339
 
 
 def test_one_store_serves_every_width_and_charge():
@@ -120,18 +127,14 @@ def test_one_store_serves_every_width_and_charge():
         assert len(brackets._memo.f_sides) == 4 * len(ctxs)
 
 
-def test_memo_builds_each_f_side_once(monkeypatch, formula_calls):
+def test_memo_builds_each_f_side_once(monkeypatch, builds):
     # The 30 smallest monomials after the unit, up to degree 7.
     monos = [tuple(v - 1 for v in p.parts) for p in partitions_upto(7)][1:31]
-    builds = []
-    neg_shift_sums = brackets._neg_shift_sums
-    monkeypatch.setattr(brackets, "_neg_shift_sums",
-                        lambda *args: builds.append(1) or neg_shift_sums(*args))
     with bracket_memo():
         got = {(a, b): bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), C1)
                for a in monos for b in monos}
     widths = {(a, (len(a) + len(b) + 1).bit_length()) for a in monos for b in monos}
-    assert len(monos) == 30 and len(formula_calls) == 900
+    assert len(monos) == 30 and len(got) == 900
     assert len(builds) == len(widths) < 900
     monkeypatch.undo()
     for (a, b), br in got.items():
@@ -142,7 +145,7 @@ def test_store_is_dropped_on_exit():
     with bracket_memo():
         bracket_master(L, L, C1)
         (L * L).derive()
-        assert brackets._memo.results and brackets._memo.f_sides
+        assert brackets._memo.f_sides and brackets._memo.rows
         assert _derive_row.cache_info().currsize
     assert brackets._memo is None
     assert not _derive_row.cache_info().currsize

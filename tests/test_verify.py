@@ -104,13 +104,13 @@ def _folded_failures(name, identity):
 
 
 def test_sesquilinearity_failure_shows_the_composition_sides(monkeypatch):
-    # Wrong only for (-(lambda+d))^3: at these bounds the first check of
-    # sesquilinearity-right never uses it, only the folded composition does.
+    # Wrong only for (lambda+d)^3: the first check of sesquilinearity-right
+    # never uses it, only the folded composition does.
     shift_apply = LambdaPoly.shift_apply
 
-    def broken(self, m, sign=1):
-        out = shift_apply(self, m, sign)
-        return out + LambdaPoly.of(DiffPoly.one()) if (m, sign) == (3, -1) else out
+    def broken(self, m):
+        out = shift_apply(self, m)
+        return out + LambdaPoly.of(DiffPoly.one()) if m == 3 else out
 
     monkeypatch.setattr(LambdaPoly, "shift_apply", broken)
     for r in _folded_failures("sesquilinearity", "sesquilinearity-right"):
