@@ -9,14 +9,11 @@ the verification suites in virmagri.verify and the bundled CLI.
 from .brackets import (
     BiLambdaPoly,
     LambdaPoly,
-    binom_int,
     bracket_master,
     bracket_recursive,
     gen_bracket,
     hamiltonian,
-    hamiltonian_defect,
     hamiltonian_defects,
-    hbar_bracket,
     jacobi_defect,
     nth_product,
     skew_defect,

@@ -41,8 +41,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from math import comb, factorial
 
-from .diffpoly import (AlgebraCtx, DiffPoly, _derive_row, conformal_weight, derive_terms, mono,
-                       mono_mul)
+from .diffpoly import (AlgebraCtx, DiffPoly, _derive_row, _row_cache, conformal_weight,
+                       derive_terms, mono, mono_mul)
 from .errors import DomainError
 from .sparse import Sparse, acc
 
@@ -236,7 +236,7 @@ def bracket_memo():
     """Share bracket_master's operand work in one _Store until the
     outermost context exits; a nested context shares the store of the one
     around it.  On exit the outermost context also clears DiffPoly's row
-    cache (_derive_row), so its rows live no longer than the store.
+    cache (_row_cache), so its rows live no longer than the store.
     """
     global _memo
     if _memo is not None:
@@ -247,7 +247,7 @@ def bracket_memo():
         yield
     finally:
         _memo = None
-        _derive_row.cache_clear()
+        _row_cache.cache_clear()
 
 
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
@@ -496,41 +496,3 @@ def hamiltonian_defects(fm, gm, ctx: AlgebraCtx) -> dict[int, DiffPoly]:
         prod = br.terms[n] * factorial(n)
         out[n] = hamiltonian(prod) - prod * (weight - (n + 1))
     return out
-
-
-def hamiltonian_defect(fm, gm, n: int, ctx: AlgebraCtx) -> DiffPoly:
-    """The n-th entry of hamiltonian_defects; zero where the bracket has
-    no lambda^n term."""
-    if n < 0:
-        raise DomainError("product index must be non-negative, got %d" % n)
-    return hamiltonian_defects(fm, gm, ctx).get(n, DiffPoly.zero())
-
-
-def binom_int(n: int, k: int) -> int:
-    """Binomial coefficient with an arbitrary integer upper argument."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)
-
-
-def hbar_bracket(a: DiffPoly, b: DiffPoly, ctx: AlgebraCtx) -> dict[int, DiffPoly]:
-    """The one-parameter bracket: sum over j of C(weight(a)-1, j) times the
-    j-th product, keyed by the power of the formal parameter.
-
-    a is split into its grading eigencomponents first; each contributes
-    with its own weight.
-    """
-    by_weight: dict[int, dict] = {}
-    for m, c in a.terms.items():
-        by_weight.setdefault(conformal_weight(m), {})[m] = c
-    out: dict = {}
-    for delta, terms in sorted(by_weight.items()):
-        br = bracket_master(DiffPoly(terms), b, ctx)
-        for j, p in br.terms.items():
-            coef = binom_int(delta - 1, j) * factorial(j)
-            if coef:
-                acc(out, j, p * coef)
-    return {j: p for j, p in out.items() if p}

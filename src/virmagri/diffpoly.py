@@ -52,22 +52,30 @@ def conformal_weight(m) -> int:
     return sum(k + 2 for k in m)
 
 
-# 4,096 rows: a verification suite derives a few hundred distinct
-# monomials hundreds of thousands of times, so its whole working set fits
-# many times over, while a stream of distinct monomials (one call on a
-# huge operand) cannot keep more than 4,096 rows alive.  A row holds one
-# tuple of deg(m) orders per distinct order of m, so the bound is on rows,
-# not bytes: 4,096 degree-12 rows hold about 10 MB, and the row of one
-# 1,000-factor monomial over 300 orders about 2.4 MB (tracemalloc).  The
-# outermost bracket_memo() clears the cache when it exits, so rows live
-# for one check of a verification sweep, like the rest of its store.
-@lru_cache(maxsize=4096)
-def _derive_row(m: tuple) -> tuple:
+def _row(m: tuple) -> tuple:
     """The total derivative of monomial m as ((monomial, count), ...): one
     entry per distinct order k in m, raising one factor dkL to d(k+1)L,
     with the multiplicity of k as its count."""
     return tuple((m[:i] + (k + 1,) + m[i + 1:], m.count(k))
                  for i, k in enumerate(m) if not i or k != m[i - 1])
+
+
+# A row holds one tuple of deg(m) orders per distinct order of m: the row
+# of one 1,000-factor monomial over 300 orders holds about 2.4 MB
+# (tracemalloc).  So only rows of monomials of at most ROW_CACHE_FACTORS
+# factors are kept, at most about 3.8 KB each (sys.getsizeof, 16 distinct
+# orders near 3,000), and the 4,096 rows of _row_cache hold at most about
+# 15 MB.  A verification suite derives a few hundred distinct monomials of
+# at most 12 factors hundreds of thousands of times, so its working set
+# fits many times over.  The outermost bracket_memo() clears the cache on
+# exit, so rows live for one check of a sweep, like the rest of its store.
+ROW_CACHE_FACTORS = 16
+_row_cache = lru_cache(maxsize=4096)(_row)
+
+
+def _derive_row(m: tuple) -> tuple:
+    """_row(m), from _row_cache if m has at most ROW_CACHE_FACTORS factors."""
+    return (_row_cache if len(m) <= ROW_CACHE_FACTORS else _row)(m)
 
 
 def derive_terms(terms: dict, row=_derive_row) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 
@@ -19,41 +20,65 @@ class CheckReport:
 
     Passing cases keep empty lhs/rhs strings; failing cases carry the two
     formatted sides as the counterexample.
+
+    A sweep records tens of thousands of cases, nearly all passing, so
+    no record objects are kept: case i is identities[i] with cases[i],
+    its label interned (sweeps repeat labels), a failing case's sides
+    are sides[i], and tallies[identity] is [cases, failed].  records and
+    failures() build CheckRecords on request.
     """
 
     def __init__(self, records: list[CheckRecord] | None = None):
-        self.records: list[CheckRecord] = [] if records is None else records
+        self._identities: list[str] = []
+        self._cases: list[str] = []
+        self._sides: dict[int, tuple[str, str]] = {}
+        self._tallies: dict[str, list[int]] = {}
+        for r in records or ():
+            self.record(r.identity, r.case, r.ok, r.lhs, r.rhs)
 
     def record(self, identity: str, case: str, ok: bool, lhs="", rhs="") -> None:
-        if ok:
-            self.records.append(CheckRecord(identity, case, True))
-        else:
-            self.records.append(CheckRecord(identity, case, False, str(lhs), str(rhs)))
+        tally = self._tallies.setdefault(identity, [0, 0])
+        tally[0] += 1
+        if not ok:
+            tally[1] += 1
+            self._sides[len(self._cases)] = (str(lhs), str(rhs))
+        self._identities.append(identity)
+        self._cases.append(sys.intern(case))
+
+    def extend(self, other: CheckReport) -> None:
+        """Append other's cases after this report's, in order."""
+        start = len(self._cases)
+        self._identities += other._identities
+        self._cases += other._cases
+        self._sides.update({start + i: sides for i, sides in other._sides.items()})
+        for identity, (cases, failed) in other._tallies.items():
+            tally = self._tallies.setdefault(identity, [0, 0])
+            tally[0] += cases
+            tally[1] += failed
+
+    @property
+    def records(self) -> list[CheckRecord]:
+        sides = self._sides
+        return [CheckRecord(identity, case, False, *sides[i]) if i in sides
+                else CheckRecord(identity, case, True)
+                for i, (identity, case) in enumerate(zip(self._identities, self._cases))]
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+        return not self._sides
 
     def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.ok]
+        return [CheckRecord(self._identities[i], self._cases[i], False, lhs, rhs)
+                for i, (lhs, rhs) in self._sides.items()]
 
     def identities(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for r in self.records:
-            tally = out.setdefault(r.identity, {"cases": 0, "failed": 0})
-            tally["cases"] += 1
-            if not r.ok:
-                tally["failed"] += 1
-        return out
+        return {identity: {"cases": cases, "failed": failed}
+                for identity, (cases, failed) in self._tallies.items()}
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for name, tally in self.identities().items():
-            if tally["failed"]:
-                lines.append("FAIL %s (%d/%d cases failed)" % (name, tally["failed"], tally["cases"]))
-            else:
-                lines.append("PASS %s (%d cases)" % (name, tally["cases"]))
-        return lines
+        return ["FAIL %s (%d/%d cases failed)" % (name, failed, cases) if failed
+                else "PASS %s (%d cases)" % (name, cases)
+                for name, (cases, failed) in self._tallies.items()]
 
     def to_jsonable(self, include_passes: bool = False) -> dict:
         records = self.records if include_passes else self.failures()

@@ -156,8 +156,10 @@ def suite_caps(name: str) -> dict[str, int]:
 
 
 def run_suite(name: str, bounds: Bounds, ctx: AlgebraCtx) -> CheckReport:
-    return CheckReport([r for check in resolve_suite(name)
-                        for r in CHECKS[check](bounds, ctx).records])
+    rep = CheckReport()
+    for check in resolve_suite(name):
+        rep.extend(CHECKS[check](bounds, ctx))
+    return rep
 
 
 # ------------------------------------------------------------ utilities

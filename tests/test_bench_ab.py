@@ -114,3 +114,29 @@ def test_each_run_gets_a_fresh_bytecode_cache(monkeypatch):
     assert [fresh for _, fresh in seen] == [True] * 3
     assert len(set(caches)) == 3
     assert not any(os.path.exists(cache) for cache in caches)
+
+
+def test_summary_and_pair_lines_give_each_sides_pass_count(tmp_path, monkeypatch, capsys):
+    pairs = _pairs([1.0] * 5, [1.0] * 5)
+    for p, (a, b) in zip(pairs, [(17, 20), (16, 21), (17, 22), (18, 20), (17, 19)]):
+        p["parent"]["pass_walls_s"], p["change"]["pass_walls_s"] = [1.0] * a, [1.0] * b
+    assert bench_ab._summary(pairs)["passes"] == {"parent": 17, "change": 20}
+    # Rows without pass walls (perfbench printed none) have no pass count.
+    assert bench_ab._summary(_pairs([1.0], [1.0]))["passes"] == {"parent": None, "change": None}
+
+    _repo(tmp_path / "a")
+    _repo(tmp_path / "b")
+
+    def run(checkout, workload, seed, trace):
+        n = 12 if checkout.endswith("a") else 9
+        return {"correct": True, "attempted": 1, "failed": 0, "pass_walls_s": [0.5] * n,
+                "metrics": {m: 1.0 for m in bench_ab.METRICS}}
+
+    monkeypatch.setattr(bench_ab, "_run", run)
+    out = tmp_path / "BENCH.json"
+    assert bench_ab.main(["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                          "--workload", "cli-large", "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == bench_ab.PAIRS and all(l.endswith("passes 12 and 9") for l in lines)
+    summary = json.loads(out.read_text())["workloads"]["cli-large"]["summary"]
+    assert summary["passes"] == {"parent": 12, "change": 9}

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from helpers import diffpoly_st, mono_st, p1_derive, realize, realize_line, eval_at
 from virmagri import DiffPoly, conformal_weight, mono, mono_degree, partitions_of
+from virmagri.diffpoly import ROW_CACHE_FACTORS, _row_cache
 
 L = DiffPoly.gen(0)
 dL = DiffPoly.gen(1)
@@ -29,6 +30,24 @@ def test_derive_known_values():
     # (d1L)^2 L -> 2 d2L d1L L + d1L^3
     f = DiffPoly.monomial((1, 1, 0))
     assert f.derive() == 2 * DiffPoly.monomial((2, 1, 0)) + DiffPoly.monomial((1, 1, 1))
+
+
+def test_rows_of_long_monomials_are_not_cached():
+    # 1,000 factors over 300 orders: the row alone would hold about 2.4 MB.
+    m = mono(k % 300 for k in range(1000))
+    want: dict = {}
+    for k in set(m):
+        rest = list(m)
+        rest.remove(k)
+        key = mono(rest + [k + 1])
+        want[key] = want.get(key, 0) + m.count(k)
+    _row_cache.cache_clear()
+    assert DiffPoly.monomial(m).derive() == DiffPoly(want)
+    assert _row_cache.cache_info().currsize == 0
+    short = mono(range(ROW_CACHE_FACTORS))
+    assert DiffPoly.monomial(short).derive().terms
+    assert _row_cache.cache_info().currsize == 1
+    _row_cache.cache_clear()
 
 
 def test_degree_and_weight_known_values():

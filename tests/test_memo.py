@@ -7,7 +7,7 @@ import pytest
 
 from virmagri import AlgebraCtx, DiffPoly, brackets, verify
 from virmagri.brackets import bracket_master, bracket_memo, bracket_recursive
-from virmagri.diffpoly import _derive_row
+from virmagri.diffpoly import _row_cache
 from virmagri.partitions import partitions_upto
 from virmagri.verify import CHECKS, Bounds
 
@@ -146,9 +146,9 @@ def test_store_is_dropped_on_exit():
         bracket_master(L, L, C1)
         (L * L).derive()
         assert brackets._memo.f_sides and brackets._memo.rows
-        assert _derive_row.cache_info().currsize
+        assert _row_cache.cache_info().currsize
     assert brackets._memo is None
-    assert not _derive_row.cache_info().currsize
+    assert not _row_cache.cache_info().currsize
     with pytest.raises(RuntimeError):
         with bracket_memo():
             bracket_master(L, L * L, C1)

@@ -1,9 +1,6 @@
 import pytest
-from hypothesis import given, settings
 
-from helpers import diffpoly_st
 from virmagri import (
-    AlgebraCtx,
     BiLambdaPoly,
     DiffPoly,
     G0NElem,
@@ -14,7 +11,6 @@ from virmagri import (
     Partition,
     WeylElem,
     XPoly,
-    hbar_bracket,
 )
 
 L = DiffPoly.gen(0)
@@ -61,14 +57,6 @@ def test_equality_needs_the_same_type():
     assert K0NElem(terms) != G0NElem(terms)
     assert XPoly(terms) != K0NElem(terms)
     assert K0NElem() != G0NElem()
-
-
-@settings(max_examples=40, deadline=None)
-@given(diffpoly_st(5, 4), diffpoly_st(5, 4))
-def test_hbar_bracket_has_no_zero_coefficients(a, b):
-    for ctx in (AlgebraCtx(0), AlgebraCtx(1)):
-        assert all(hbar_bracket(a, b, ctx).values())
-
 
 
 @pytest.mark.parametrize("a", SAMPLES, ids=lambda a: type(a).__name__)

@@ -17,7 +17,9 @@ Runs of other workloads already in --out are kept, so one file collects
 every workload of a change; an --out recorded for other commits is
 refused before any run.  Each metric's summary gives the parent's and
 the change's medians and IQRs, the pairs in which the change is lower,
-and the median change/parent ratio with an exact sign-test interval.
+and the median change/parent ratio with an exact sign-test interval;
+the summary's "passes" gives each side's median number of timed passes
+per run, printed for each pair as it runs.
 With --trace, one `--trace 1` run per side follows the pairs and its
 per-layer metrics are stored as they are.
 """
@@ -94,8 +96,20 @@ def _ratio(ratios: list[float]) -> dict | None:
             "confidence": 1 - 2 * below[k]}
 
 
+def _passes(row: dict) -> int | None:
+    """The number of timed passes in one run, if perfbench printed them."""
+    walls = row.get("pass_walls_s")
+    return None if walls is None else len(walls)
+
+
 def _summary(pairs: list[dict]) -> dict:
-    out = {}
+    # Each side's median pass count: perfbench's runner grows with the
+    # passes of a run, so a peak_rss_mb shift can come from a side that
+    # fit more passes into the run rather than from the code.
+    out = {"passes": {}}
+    for side in ("parent", "change"):
+        counts = [n for p in pairs if (n := _passes(p[side])) is not None]
+        out["passes"][side] = statistics.median(counts) if counts else None
     for m in METRICS:
         a = [p["parent"]["metrics"][m] for p in pairs]
         b = [p["change"]["metrics"][m] for p in pairs]
@@ -140,9 +154,10 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = _run(sides[side], args.workload, seed, trace=False)
         pairs.append(pair)
-        print("bench_ab: %s pair %d seed %d wall_s parent %.3f change %.3f" % (
+        print("bench_ab: %s pair %d seed %d wall_s parent %.3f change %.3f, passes %s and %s" % (
             args.workload, i + 1, seed, pair["parent"]["metrics"]["wall_s"],
-            pair["change"]["metrics"]["wall_s"]), file=sys.stderr, flush=True)
+            pair["change"]["metrics"]["wall_s"], _passes(pair["parent"]),
+            _passes(pair["change"])), file=sys.stderr, flush=True)
     entry = {"pairs": pairs, "summary": _summary(pairs)}
     if args.trace:
         entry["trace"] = {side: _run(sides[side], args.workload, args.first_seed, trace=True) for side in ("parent", "change")}
