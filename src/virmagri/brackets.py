@@ -11,11 +11,12 @@ bracket in three stages (the partials of f under lambda -> -lambda-d,
 the generator bracket, the g side), each getting all its powers of
 (lambda+d) from one derivative chain per coefficient; the first two give
 the f side, which depends on f and the charge only.  bracket_recursive
-reduces arguments step by step through the product rule and skew-symmetry down to pairs of single generators,
-whose bracket (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by
-term; its leaf and its skew flip are its own code, so a fault in the
-shift loops cannot reach both sides.  They must agree everywhere; the
-verification suites compare them case by case.
+reduces arguments step by step through the product rule and
+skew-symmetry down to pairs of single generators, whose bracket
+(-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by term; its
+leaf and its skew flip are its own code, so a fault in the shift loops
+cannot reach both sides.  They must agree everywhere; the verification
+suites compare them case by case.
 
 Both build each lambda power's coefficient as one plain {monomial: int}
 dict, adding every term into it in place, and wrap it once at the end.
@@ -30,10 +31,11 @@ the package is diffpoly.derive_terms, its one derivative loop; the
 monomial form enters through the row source it is given: DiffPoly's
 cached rows of tuple monomials, or a _Rows of packed ones.
 
-bracket_master keeps work on its operands, never a result, in a _Store,
-which a bracket_memo() context shares across calls.  bracket_recursive
-brackets each monomial pair once per call and keeps nothing between
-calls.
+A bracket_memo() context shares one thing across bracket_master calls:
+each left operand's f side with the powers of (lambda+d) asked of it,
+never a result; the packed derivative rows live for one f-side build.
+bracket_recursive brackets each monomial pair once per call and keeps
+nothing between calls.
 """
 
 from __future__ import annotations
@@ -181,30 +183,6 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
     return LambdaPoly(coeffs)
 
 
-class _Store:
-    """What bracket_master keeps: work on its operands, never a result.
-    Inside a bracket_memo() context one store serves every call; outside
-    one each call has a store of its own, freed before its result is
-    unpacked.
-
-    f_sides: each left operand's f side with the powers of (lambda+d)
-        asked of it so far (see _f_side), keyed on (f terms, w, charge).
-        So within a context each f side is built once, and a g against
-        it costs one pass of products and unpacking, plus any power no
-        earlier g asked for; a pair met again costs that pass again.
-    rows: for each field width w, the _Rows of packed derivatives met.
-
-    The store grows with the distinct operands met; a context should
-    span one verification sweep, not a whole suite.
-    """
-
-    __slots__ = ("f_sides", "rows")
-
-    def __init__(self):
-        self.f_sides: dict = {}
-        self.rows: dict = {}
-
-
 class _Rows(dict):
     """The derivatives of packed monomials of field width w, each built on
     first use: self[key] is ((key, count), ...), the derivative of key as
@@ -228,21 +206,29 @@ class _Rows(dict):
         return row
 
 
-_memo: _Store | None = None
+_memo: dict | None = None
 
 
 @contextmanager
 def bracket_memo():
-    """Share bracket_master's operand work in one _Store until the
-    outermost context exits; a nested context shares the store of the one
-    around it.  On exit the outermost context also clears DiffPoly's row
-    cache (_row_cache), so its rows live no longer than the store.
+    """Share bracket_master's f sides (see _f_side) across calls until the
+    outermost context exits; a nested context shares the dict of the one
+    around it.  This is operand work, never a result: within a context
+    each f side is built once, and a g against it costs one pass of
+    products and unpacking, plus any power no earlier g asked for; a pair
+    met again costs that pass again.  Outside a context each call builds
+    its f side afresh and frees it before its result is unpacked.
+
+    The dict grows with the distinct left operands met; a context should
+    span one verification sweep, not a whole suite.  On exit the
+    outermost context also clears DiffPoly's row cache (_row_cache), so
+    its rows live no longer than the f sides.
     """
     global _memo
     if _memo is not None:
         yield
         return
-    _memo = _Store()
+    _memo = {}
     try:
         yield
     finally:
@@ -274,12 +260,8 @@ def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> dict:
     """The packed sum {lambda power: {key: int}} of dg/du^(n) (lambda+d)^n
     M_f over the orders n of g, each term multiplied straight into the sum
     of its lambda power."""
-    store = _Store() if _memo is None else _memo
-    rows = store.rows.get(w)
-    if rows is None:
-        rows = store.rows[w] = _Rows(w)
     dg = _packed_partials(g, w)
-    powers = _f_side(f, w, ctx, store.f_sides, dg, rows.__getitem__)
+    powers = _f_side(f, w, ctx, {} if _memo is None else _memo, dg)
     sums: dict = {}
     for n in sorted(dg, reverse=True):
         for k, q in powers[n].items():
@@ -287,7 +269,7 @@ def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> dict:
     return sums
 
 
-def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, row_of) -> dict:
+def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns) -> dict:
     """{n: (lambda+d)^n M_f} on packed keys of width w, for 0 and at least
     every n in ns, M_f being the f side of the master formula.
 
@@ -296,13 +278,18 @@ def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns, row_of) -> di
     (-lambda-d)^m df/du^(m); then the generator bracket c_p lambda^p
     acting on it from the right as sum_p c_p (lambda+d)^p.  The second
     stage and the powers each take every power they need from one
-    _shift_sums call, one derivative chain per coefficient, its rows
-    from row_of (a _Rows of width w).  The powers are kept in sides
-    under (f terms, w, charge), M_f as power 0; a later call asking for an
-    n not there yet adds it from M_f.
+    _shift_sums call, one derivative chain per coefficient.  The powers
+    are kept in sides under (f terms, w, charge), M_f as power 0; a later
+    call asking for an n not there yet adds it from M_f.  The packed
+    derivative rows those chains read live in a _Rows of width w made
+    for this call, and only if it builds or adds something: sides keeps
+    no rows.
     """
     key = (frozenset(f.terms.items()), w, ctx.central_charge)
     powers = sides.get(key)
+    if powers is not None and all(n in powers for n in ns):
+        return powers
+    row_of = _Rows(w).__getitem__
     if powers is None:
         base = _strip(_neg_shift_sums(_packed_partials(f, w), row_of))
         gb = {p: {_pack(m, w): c for m, c in q.terms.items()}

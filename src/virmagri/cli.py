@@ -63,10 +63,11 @@ def _operand_kind(text: str) -> str:
 # An operand of derivative order n puts the binomials C(n, k) into the
 # bracket through (lambda+d)^n.  Up to this order each has at most 902
 # digits, well inside Python's 4,300-digit str() limit.  The bracket of
-# L with d3000L takes about 1.5 s on a 2-core x86 host, and the time
-# grows faster than the square of the order: d7000L takes 12 s.  Every
-# other verb that reads a polynomial operand takes the same limit, so no
-# verb accepts an order the bracket would refuse.
+# L with d3000L takes about 0.8 s as one CLI call on a 2-core x86 host,
+# and the time grows faster than the square of the order: in-process,
+# d3000L takes 0.6 s and d7000L 5.9 s.  Every other verb that reads a
+# polynomial operand takes the same limit, so no verb accepts an order
+# the bracket would refuse.
 MAX_ORDER = 3000
 
 

@@ -68,7 +68,7 @@ def _row(m: tuple) -> tuple:
 # 15 MB.  A verification suite derives a few hundred distinct monomials of
 # at most 12 factors hundreds of thousands of times, so its working set
 # fits many times over.  The outermost bracket_memo() clears the cache on
-# exit, so rows live for one check of a sweep, like the rest of its store.
+# exit, so rows live for one check of a sweep, like the memo's f sides.
 ROW_CACHE_FACTORS = 16
 _row_cache = lru_cache(maxsize=4096)(_row)
 

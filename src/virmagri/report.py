@@ -28,13 +28,11 @@ class CheckReport:
     failures() build CheckRecords on request.
     """
 
-    def __init__(self, records: list[CheckRecord] | None = None):
+    def __init__(self):
         self._identities: list[str] = []
         self._cases: list[str] = []
         self._sides: dict[int, tuple[str, str]] = {}
         self._tallies: dict[str, list[int]] = {}
-        for r in records or ():
-            self.record(r.identity, r.case, r.ok, r.lhs, r.rhs)
 
     def record(self, identity: str, case: str, ok: bool, lhs="", rhs="") -> None:
         tally = self._tallies.setdefault(identity, [0, 0])

@@ -10,10 +10,11 @@ suites are addressable individually from the command line; group names
 select every check of one module, and "all" runs the lot.
 
 The registry's one harness turns a check into a CheckReport: it runs the
-generator to its end inside the check's own bracket_memo(), so a sweep
-that meets one left operand many times (Jacobi, Leibniz, skew) builds
-its f side once; a bracket met again is computed again from it.  The
-memo lives for one check, never for a whole suite.  The oracles
+generator to its end inside the check's own bracket_memo(), which holds
+left-operand f sides only, so a sweep that meets one left operand many
+times (Jacobi, Leibniz, skew) builds its f side once; a bracket met
+again is computed again from it.  The memo lives for one check, never
+for a whole suite.  The oracles
 (bracket_recursive, the test-suite models) are not in it;
 bracket_recursive keeps its own memo of monomial pairs for one call
 only.

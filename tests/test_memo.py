@@ -1,7 +1,8 @@
-"""The per-check bracket memo: what its store keys on, where it is open,
+"""The per-check bracket memo: what it keys on, where it is open,
 and that it changes no result."""
 
 import contextlib
+import weakref
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_jacobi_builds_one_f_side_per_distinct_left_operand(monkeypatch, builds)
 
 def test_one_store_serves_every_width_and_charge():
     # One f side per (f, w, charge): L meets g's that put w at 2 and 4,
-    # L^7 g's that put it at 4 and 5, all three charges in one store.
+    # L^7 g's that put it at 4 and 5, all three charges in one memo.
     dL = DiffPoly.gen(1)
     fs, gs = (L, L ** 7), (dL, dL * L ** 6, L ** 8)
     ctxs = [AlgebraCtx(c) for c in (0, 1, -2)]
@@ -123,8 +124,68 @@ def test_one_store_serves_every_width_and_charge():
             for i, f in enumerate(fs):
                 for j, g in enumerate(gs):
                     assert bracket_master(f, g, ctx) == want[i, j, ctx]
-        assert set(brackets._memo.rows) == {2, 4, 5}
-        assert len(brackets._memo.f_sides) == 4 * len(ctxs)
+        assert {w for _, w, _ in brackets._memo} == {2, 4, 5}
+        assert len(brackets._memo) == 4 * len(ctxs)
+
+
+def test_memo_holds_only_f_sides():
+    # Keys (f terms, w, charge), each value the powers {n: packed terms}.
+    dL = DiffPoly.gen(1)
+    f = L * dL
+    with bracket_memo():
+        for c in (1, -2):
+            bracket_master(f, L * f, AlgebraCtx(c))
+            bracket_master(L, dL, AlgebraCtx(c))
+        assert set(brackets._memo) == {(frozenset(g.terms.items()), w, c)
+                                       for g, w in ((f, 3), (L, 2)) for c in (1, -2)}
+        assert all(set(powers) == {0, 1} for powers in brackets._memo.values())
+
+
+def test_rows_die_with_their_f_side_call(monkeypatch):
+    # Each _Rows lives inside one _f_side call, which makes one only to
+    # build an f side or add a power: the g-side pass runs without rows.
+    refs = []
+
+    class Rows(brackets._Rows):
+        def __init__(self, w):
+            super().__init__(w)
+            refs.append(weakref.ref(self))
+
+    f_side = brackets._f_side
+
+    def checked(*args):
+        out = f_side(*args)
+        assert all(r() is None for r in refs)
+        return out
+
+    monkeypatch.setattr(brackets, "_Rows", Rows)
+    monkeypatch.setattr(brackets, "_f_side", checked)
+    dL = DiffPoly.gen(1)
+    bracket_master(L, L, C1)
+    assert len(refs) == 1
+    with bracket_memo():
+        bracket_master(L, L, C1)  # builds M_L with power 0
+        bracket_master(L, dL, C1)  # adds power 1
+        bracket_master(L, dL + L, C1)  # has powers 0 and 1
+        assert len(refs) == 3
+    assert all(r() is None for r in refs)
+
+
+def test_repeated_pair_builds_no_row(monkeypatch):
+    # A pair met again finds its f side and every power it needs: only
+    # the g-side product pass runs, and it reads no derivative row.
+    built = []
+    missing = brackets._Rows.__missing__
+    monkeypatch.setattr(brackets._Rows, "__missing__",
+                        lambda self, key: built.append(key) or missing(self, key))
+    f, g = DiffPoly.gen(2) * L + L ** 3, DiffPoly.gen(3) * L ** 2
+    with bracket_memo():
+        first = bracket_master(f, g, C1)
+        assert built
+        built.clear()
+        assert bracket_master(f, g, C1) == first
+        assert built == []
+    assert first == bracket_recursive(f, g, C1)
 
 
 def test_memo_builds_each_f_side_once(monkeypatch, builds):
@@ -145,7 +206,7 @@ def test_store_is_dropped_on_exit():
     with bracket_memo():
         bracket_master(L, L, C1)
         (L * L).derive()
-        assert brackets._memo.f_sides and brackets._memo.rows
+        assert brackets._memo
         assert _row_cache.cache_info().currsize
     assert brackets._memo is None
     assert not _row_cache.cache_info().currsize
