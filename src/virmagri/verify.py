@@ -14,10 +14,9 @@ generator to its end inside the check's own bracket_memo(), which holds
 left-operand f sides only, so a sweep that meets one left operand many
 times (Jacobi, Leibniz, skew) builds its f side once; a bracket met
 again is computed again from it.  The memo lives for one check, never
-for a whole suite.  The oracles
-(bracket_recursive, the test-suite models) are not in it;
-bracket_recursive keeps its own memo of monomial pairs for one call
-only.
+for a whole suite.  The oracles (bracket_recursive, the test-suite
+models) are not in it; bracket_recursive keeps its own memo of monomial
+pairs for one call only.
 """
 
 from __future__ import annotations
