@@ -254,6 +254,19 @@ def test_bracket_master_edge_cases():
         assert bracket_master(h, dh, ctx) == bracket_master(h, h, ctx).shift_apply(1)
 
 
+def test_bracket_master_derive_budget(monkeypatch):
+    # The kernel derives on its own packed rows, never through
+    # DiffPoly.derive; test_kernel_derive_budget bounds its steps.
+    derive = DiffPoly.derive
+    for d in (8, 10):
+        f, g = dense(d), dense(d, 2)
+        calls = []
+        monkeypatch.setattr(DiffPoly, "derive", lambda self: calls.append(1) or derive(self))
+        got = bracket_master(f, g, C1)
+        assert calls == []
+        monkeypatch.undo()
+        assert got == -bracket_master(g, f, C1).subst_neg_shift()
+
 def test_nth_product_known_values():
     for ctx in CHARGES:
         assert nth_product(L, L, 1, ctx) == 2 * L
@@ -422,16 +435,12 @@ def test_kernel_derive_budget(monkeypatch):
     # each step one derive_terms call on the kernel's packed rows: about
     # 115 calls at d = 8 and 174 at d = 10, against 339 and 624 with one
     # chain per order of g, and 1,571 at d = 8 when every pair of orders
-    # (m, n) ran its own chains.  None of them is a DiffPoly.derive call:
-    # the kernel derives on its own packed rows only.
-    derive = DiffPoly.derive
+    # (m, n) ran its own chains.
     for d, budget in ((8, 130), (10, 200)):
         f, g = dense(d), dense(d, 2)
         calls = _count_derive_steps(monkeypatch)
-        derives = []
-        monkeypatch.setattr(DiffPoly, "derive", lambda self: derives.append(1) or derive(self))
         got = bracket_master(f, g, C1)
-        assert 0 < len(calls) <= budget and derives == []
+        assert 0 < len(calls) <= budget
         monkeypatch.undo()
         assert got == -bracket_master(g, f, C1).subst_neg_shift()
 
