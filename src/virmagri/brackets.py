@@ -7,10 +7,11 @@ arithmetic.
 
 Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
-bracket in three stages (the partials of f under lambda -> -lambda-d,
-the generator bracket, the g side), each getting all its powers of
-(lambda+d) from one derivative chain per coefficient; the first two give
-the f side, which depends on f and the charge only.  bracket_recursive
+bracket in three linear stages, each a shift, the last two then one
+_products pass: the partials of f under lambda -> -lambda-d; (lambda+d)^p
+of those times the generator bracket's c_p, the f side M_f; (lambda+d)^n
+M_f times dg/du^(n).  Each shift takes every power of (lambda+d) it
+needs from one derivative chain per coefficient.  bracket_recursive
 reduces arguments step by step through the product rule and
 skew-symmetry down to pairs of single generators, whose bracket
 (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by term; its
@@ -46,7 +47,7 @@ from math import comb, factorial
 from .diffpoly import (AlgebraCtx, DiffPoly, _derive_row, _row_cache, conformal_weight,
                        derive_terms, mono, mono_mul)
 from .errors import DomainError
-from .sparse import Sparse, acc
+from .sparse import Sparse
 
 
 class LambdaPoly(Sparse):
@@ -134,18 +135,6 @@ def _add_into(sums: dict, k, terms: dict, c: int) -> None:
         d[m] = get(m, 0) + c * v
 
 
-def _add_product_into(sums: dict, k, terms: dict, other: dict) -> None:
-    """sums[k] += the product of two polynomials' terms, as in _add_into."""
-    d = sums.get(k)
-    if d is None:
-        sums[k] = d = {}
-    get = d.get
-    for m2, c2 in other.items():
-        for m1, c1 in terms.items():
-            m = mono_mul(m1, m2) if m2 else m1
-            d[m] = get(m, 0) + c1 * c2
-
-
 def _strip(sums: dict) -> dict:
     """Delete, in place, the zeros of {power: {monomial: int}} sums and
     the powers left empty; return sums."""
@@ -159,10 +148,11 @@ def _strip(sums: dict) -> dict:
     return sums
 
 
-def _wrap(sums: dict) -> LambdaPoly:
-    """The lambda polynomial of {power: {monomial: int}} sums built in
-    place: each dict is wrapped as it is, its zeros deleted, not copied."""
-    return LambdaPoly._nonzero({k: DiffPoly._nonzero(d) for k, d in _strip(sums).items()})
+def _wrap(sums: dict, cls=LambdaPoly):
+    """The cls value (a lambda polynomial unless asked otherwise) of
+    {key: {monomial: int}} sums built in place: each dict is wrapped as
+    it is, its zeros deleted, not copied."""
+    return cls._nonzero({k: DiffPoly._nonzero(d) for k, d in _strip(sums).items()})
 
 
 class BiLambdaPoly(Sparse):
@@ -242,49 +232,37 @@ def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
 
     {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n M_f, M_f the f side of
     the formula: the partials of f put through the generator bracket,
-    which depends on f and the charge only (see _f_side).  _g_side forms
-    the sum on packed monomials (see _pack), w bits a field with
+    which depends on f and the charge only (see _f_side).  The sum is
+    formed on packed monomials (see _pack), w bits a field with
     w = (F + G + 1).bit_length(), F and G the most factors of a monomial
     of f and of g: no monomial met has more than F + G - 1 factors, so no
     field can overflow.
     """
     most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
     w = (most + 1).bit_length()
-    sums = _g_side(f, g, w, ctx)
+    dg = _packed_partials(g, w)
+    sums = _products(_f_side(f, w, ctx, dg), dg)
     for k, d in sums.items():
         sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
     return _wrap(sums)
 
 
-def _g_side(f: DiffPoly, g: DiffPoly, w: int, ctx: AlgebraCtx) -> dict:
-    """The packed sum {lambda power: {key: int}} of dg/du^(n) (lambda+d)^n
-    M_f over the orders n of g, each term multiplied straight into the sum
-    of its lambda power."""
-    dg = _packed_partials(g, w)
-    powers = _f_side(f, w, ctx, {} if _memo is None else _memo, dg)
-    sums: dict = {}
-    for n in sorted(dg, reverse=True):
-        for k, q in powers[n].items():
-            _add_packed_product_into(sums, k, q, dg[n])
-    return sums
-
-
-def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns) -> dict:
+def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, ns) -> dict:
     """{n: (lambda+d)^n M_f} on packed keys of width w, for 0 and at least
     every n in ns, M_f being the f side of the master formula.
 
     M_f takes two stages, each linear in the one before: the partials of
     f keyed by order put through lambda -> -lambda-d, sum_m
     (-lambda-d)^m df/du^(m); then the generator bracket c_p lambda^p
-    acting on it from the right as sum_p c_p (lambda+d)^p.  The second
+    acting on it from the right, sum_p c_p (lambda+d)^p.  The second
     stage and the powers each take every power they need from one
-    _shift_sums call, one derivative chain per coefficient.  The powers
-    are kept in sides under (f terms, w, charge), M_f as power 0; a later
-    call asking for an n not there yet adds it from M_f.  The packed
-    derivative rows those chains read live in a _Rows of width w made
-    for this call, and only if it builds or adds something: sides keeps
-    no rows.
+    _shift_sums call.  Inside a bracket_memo() the powers are kept in
+    _memo under (f terms, w, charge), M_f as power 0; a later call asking
+    for an n not there yet adds it from M_f.  The packed derivative rows
+    live in a _Rows of width w made for this call, and only if it builds
+    or adds something: _memo keeps no rows.
     """
+    sides = {} if _memo is None else _memo
     key = (frozenset(f.terms.items()), w, ctx.central_charge)
     powers = sides.get(key)
     if powers is not None and all(n in powers for n in ns):
@@ -294,11 +272,7 @@ def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, sides: dict, ns) -> dict:
         base = _strip(_neg_shift_sums(_packed_partials(f, w), row_of))
         gb = {p: {_pack(m, w): c for m, c in q.terms.items()}
               for p, q in gen_bracket(ctx).terms.items()}
-        mid: dict = {}
-        for p, sh in _shift_sums(base, gb, row_of).items():
-            for k, q in _strip(sh).items():
-                _add_packed_product_into(mid, k, q, gb[p])
-        powers = sides[key] = {0: _strip(mid)}
+        powers = sides[key] = {0: _strip(_products(_shift_sums(base, gb, row_of), gb))}
     missing = [n for n in ns if n not in powers]
     if missing:
         for n, sh in _shift_sums(powers[0], missing, row_of).items():
@@ -335,17 +309,23 @@ def _packed_partials(f: DiffPoly, w: int) -> dict:
     return out
 
 
-def _add_packed_product_into(sums: dict, k, terms: dict, other: dict) -> None:
-    """sums[k] += the product of two packed polynomials' terms, as in
-    _add_into."""
-    d = sums.get(k)
-    if d is None:
-        sums[k] = d = {}
-    get = d.get
-    for m2, c2 in other.items():
-        for m1, c1 in terms.items():
-            m = m1 + m2
-            d[m] = get(m, 0) + c1 * c2
+def _products(shifted: dict, coeffs: dict) -> dict:
+    """sum_n coeffs[n] * shifted[n] on packed keys as {power: {key: int}},
+    shifted[n] being {power: {key: int}} and coeffs[n] {key: int}: each
+    product term is added straight into the sum of its lambda power, which
+    may hold zeros, as in _add_into."""
+    sums: dict = {}
+    for n, other in coeffs.items():
+        for k, q in shifted[n].items():
+            d = sums.get(k)
+            if d is None:
+                sums[k] = d = {}
+            get = d.get
+            for m2, c2 in other.items():
+                for m1, c1 in q.items():
+                    m = m1 + m2
+                    d[m] = get(m, 0) + c1 * c2
+    return sums
 
 
 def _leaf(i: int, j: int, ctx: AlgebraCtx) -> LambdaPoly:
@@ -389,9 +369,9 @@ def _mono_bracket(a: tuple, b: tuple, ctx: AlgebraCtx, memo: dict) -> LambdaPoly
         # Product rule on the right argument.
         head, rest = b[:1], b[1:]
         sums: dict = {}
-        for x, y in ((head, {rest: 1}), (rest, {head: 1})):
+        for x, y in ((head, rest), (rest, head)):
             for k, p in _mono_bracket(a, x, ctx, memo).terms.items():
-                _add_product_into(sums, k, p.terms, y)
+                _add_into(sums, k, {mono_mul(m, y): c for m, c in p.terms.items()}, 1)
         br = _wrap(sums)
     elif len(a) == 1:
         # Sesquilinearity in both slots, down to the generator bracket.
@@ -443,24 +423,18 @@ def jacobi_defect(a: DiffPoly, b: DiffPoly, c: DiffPoly, ctx: AlgebraCtx) -> BiL
     c in a fresh variable, then substitutes that variable by lam+mu with
     binomial expansion.  Identically zero when the Jacobi identity holds.
     """
-    out: dict = {}
-    inner = bracket_master(b, c, ctx)
-    for j, w in inner.terms.items():
-        outer = bracket_master(a, w, ctx)
-        for i, v in outer.terms.items():
-            acc(out, (i, j), v)
-    inner = bracket_master(a, c, ctx)
-    for i, v in inner.terms.items():
-        outer = bracket_master(b, v, ctx)
-        for j, w in outer.terms.items():
-            acc(out, (i, j), -w)
-    ab = bracket_master(a, b, ctx)
-    for k, v in ab.terms.items():
-        q = bracket_master(v, c, ctx)
-        for l, w in q.terms.items():
+    sums: dict = {}
+    for j, w in bracket_master(b, c, ctx).terms.items():
+        for i, v in bracket_master(a, w, ctx).terms.items():
+            _add_into(sums, (i, j), v.terms, 1)
+    for i, v in bracket_master(a, c, ctx).terms.items():
+        for j, w in bracket_master(b, v, ctx).terms.items():
+            _add_into(sums, (i, j), w.terms, -1)
+    for k, v in bracket_master(a, b, ctx).terms.items():
+        for l, w in bracket_master(v, c, ctx).terms.items():
             for r in range(l + 1):
-                acc(out, (k + r, l - r), w * (-comb(l, r)))
-    return BiLambdaPoly(out)
+                _add_into(sums, (k + r, l - r), w.terms, -comb(l, r))
+    return _wrap(sums, BiLambdaPoly)
 
 
 def hamiltonian(f: DiffPoly) -> DiffPoly:

@@ -55,6 +55,22 @@ def test_refuses_an_out_recorded_for_other_commits(tmp_path, monkeypatch):
     assert set(doc["workloads"]) == {"verify-all", "dense-bracket"}
 
 
+def test_records_each_checkouts_source_line_count(tmp_path, monkeypatch):
+    # Lines of the .py files under src/virmagri, subpackages included.
+    for side, files in (("a", {"x.py": "1\n2\n", "sub/y.py": "3\n", "z.txt": "4\n"}),
+                        ("b", {"x.py": "1\n"})):
+        _repo(tmp_path / side)
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "virmagri" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    monkeypatch.setattr(bench_ab, "_run", _fake_run([]))
+    out = tmp_path / "BENCH.json"
+    assert bench_ab.main(["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                          "--workload", "verify-all", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
+
+
 def _pairs(parent: list[float], change: list[float]) -> list[dict]:
     """Synthetic bench_ab pairs: wall_s as given, the other metrics 1.0."""
     def row(wall):

@@ -23,8 +23,9 @@ from virmagri import (
     skew_defect,
 )
 from virmagri import brackets
-from virmagri.brackets import _Rows, _flip, _leaf, _pack, _shift_sums, _unpack, _wrap
+from virmagri.brackets import BiLambdaPoly, _Rows, _flip, _leaf, _pack, _shift_sums, _unpack, _wrap
 from virmagri.diffpoly import _derive_row, derive_terms, mono_degree
+from virmagri.sparse import acc
 
 C0 = AlgebraCtx(0)
 C1 = AlgebraCtx(1)
@@ -292,6 +293,37 @@ def test_jacobi_defect_known_cases():
     assert jacobi_defect(L, dL, L * L, C1).is_zero()
 
 
+def test_jacobi_defect_values_of_a_perturbed_bracket(monkeypatch):
+    # With lambda*L added to every bracket the Jacobi identity fails; the
+    # defect must still be the three terms' sum, which the model builds
+    # with Sparse arithmetic, one acc per term.
+    def perturbed(f, g, ctx):
+        return bracket_recursive(f, g, ctx) + LambdaPoly({1: L})
+
+    def model(a, b, c, ctx):
+        out: dict = {}
+        for j, w in perturbed(b, c, ctx).terms.items():
+            for i, v in perturbed(a, w, ctx).terms.items():
+                acc(out, (i, j), v)
+        for i, v in perturbed(a, c, ctx).terms.items():
+            for j, w in perturbed(b, v, ctx).terms.items():
+                acc(out, (i, j), -w)
+        for k, v in perturbed(a, b, ctx).terms.items():
+            for l, w in perturbed(v, c, ctx).terms.items():
+                for r in range(l + 1):
+                    acc(out, (k + r, l - r), w * -comb(l, r))
+        return BiLambdaPoly(out)
+
+    triples = [(L, L, L), (L, dL, L * L), (dL * L, L, d2L), (L ** 2, dL, L - 3 * d2L)]
+    want = {(i, ctx): model(a, b, c, ctx) for i, (a, b, c) in enumerate(triples)
+            for ctx in CHARGES}
+    assert all(want.values())
+    monkeypatch.setattr(brackets, "bracket_master", perturbed)
+    for i, (a, b, c) in enumerate(triples):
+        for ctx in CHARGES:
+            assert jacobi_defect(a, b, c, ctx) == want[i, ctx]
+
+
 @given(mono_st(3), mono_st(2), mono_st(2))
 @settings(max_examples=30)
 def test_jacobi_defect_vanishes(a, b, c):
@@ -422,8 +454,17 @@ def test_oracle_runs_without_the_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran bracket_master's kernel")
 
-    for name in ("_f_side", "_g_side", "_shift_sums", "_neg_shift_sums", "_pack", "_unpack",
-                 "_packed_partials", "_Rows", "derive_terms", "_add_packed_product_into"):
+    # Every private callable of the module is refused but the oracle's own
+    # code and the shared lambda-sum helpers, so a kernel helper added
+    # later is refused without an edit here.
+    allowed = {"_leaf", "_flip", "_mono_bracket", "_add_into", "_strip", "_wrap",
+               "_check_exponent"}
+    refused = {name for name, v in vars(brackets).items()
+               if name.startswith("_") and not name.startswith("__") and callable(v)
+               and name not in allowed} | {"derive_terms"}
+    assert {"_f_side", "_products", "_shift_sums", "_neg_shift_sums", "_pack", "_unpack",
+            "_packed_partials", "_Rows"} <= refused
+    for name in refused:
         monkeypatch.setattr(brackets, name, refuse)
     for i, (f, g) in enumerate(inputs):
         for ctx in CHARGES:

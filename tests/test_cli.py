@@ -179,6 +179,25 @@ def test_results_too_long_to_print_are_domain_errors(capsys):
     assert err.startswith("parse error:") and "position 0" in err
 
 
+def test_class_products_too_long_to_print_are_refused_fast(capsys):
+    # [L1000000]^2 computed C(2000000, 1000000) for 37 s before str()
+    # refused it; the index literals may have up to 4,300 digits.
+    huge = "[L%d]" % 10 ** 400
+    for a, b in (("[L1000000]", "[L1000000]"), ("[L10000000]", "2[L3] - [L10000000]"),
+                 (huge, huge)):
+        start = time.monotonic()
+        code, out, err = run(capsys, "mul", a, b)
+        assert time.monotonic() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error:") and "4300 digits" in err
+        assert "Traceback" not in err
+    # Nothing that prints is refused: C(14000, 7000) has 4,213 digits.
+    for a, b, digits in (("[L1000000]", "[L1]", 7), ("[L7000]", "[L7000]", 4213)):
+        code, out, err = run(capsys, "mul", a, b)
+        assert (code, err) == (0, "")
+        assert len(out.split("*")[0]) == digits
+
+
 def test_nprod_past_the_top_power_is_zero(capsys):
     assert run(capsys, "nprod", "L", "L", str(10 ** 15)) == (0, "0", "")
 

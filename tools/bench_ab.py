@@ -19,7 +19,9 @@ refused before any run.  Each metric's summary gives the parent's and
 the change's medians and IQRs, the pairs in which the change is lower,
 and the median change/parent ratio with an exact sign-test interval;
 the summary's "passes" gives each side's median number of timed passes
-per run, printed for each pair as it runs.
+per run, printed for each pair as it runs.  The record also gives each
+checkout's src/virmagri line count (src_lines), so a change's size sits
+beside its timings.
 With --trace, one `--trace 1` run per side follows the pairs and its
 per-layer metrics are stored as they are.
 """
@@ -46,6 +48,17 @@ _WALLS = re.compile(r"pass walls \[([^\]]*)\]")
 def _commit(checkout: str) -> str:
     return subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def _src_lines(checkout: str) -> int:
+    """The lines of the package's source files in a checkout, as wc -l counts them."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(checkout, "src", "virmagri")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def _run(checkout: str, workload: str, seed: int, trace: bool) -> dict:
@@ -145,7 +158,8 @@ def main(argv=None) -> int:
                                  args.out, recorded["parent_commit"], recorded["change_commit"],
                                  commits["parent_commit"], commits["change_commit"]))
     doc.update(commits, host={"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                              "machine": platform.machine()})
+                              "machine": platform.machine()},
+               src_lines={side: _src_lines(path) for side, path in sides.items()})
     pairs = []
     for i in range(PAIRS):
         seed = args.first_seed + i
