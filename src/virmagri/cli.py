@@ -104,18 +104,27 @@ SYT_MAX_BOXES = 2500
 # [L_n][L_m] = C(n+m, n) [L_(n+m)], and C(n+m, n) grows with n and m, so
 # the top indices of two combinations give their product's largest
 # constant, on a class no other pair reaches.  C(N, k) >= C(N, K) >=
-# (N/K)^K for K <= k = min(n, m) <= N/2; K = min(k, 4 * limit) keeps the
-# float finite and, as N/K >= 2, still clears the limit when k does.  A
-# product past it is refused before C(n+m, n) is computed: [L1000000]
-# squared took 37 s to reach the same exit 3 from str().
+# (N/K)^K for K <= k = min(n, m) <= N/2; K = min(k, 4 * (limit or
+# G0N_MAX_WORK)) keeps the float finite and, as N/K >= 2, still clears each
+# bound when k does.  Both rules act before any arithmetic: [L1000000]
+# squared took 37 s to reach exit 3 from str().  The work is len(ea) *
+# len(eb) times the top pair's digits: on a 2-core x86 host the CLI squared
+# [L1] + ... + [Lk] in 0.54 s at k = 299 (work 8.1e6), 4.4 s at 500 (3.8e7)
+# and 5.6 s at 600 (6.5e7).
+G0N_MAX_WORK = 5 * 10**7
+
+
 def _printable_g0n_product(ea, eb) -> None:
-    limit = sys.get_int_max_str_digits()
-    if not (limit and ea and eb):
+    if not (ea and eb):
         return
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
     n, m = max(ea.terms), max(eb.terms)
-    k = min(n, m, 4 * limit)
-    if k and k * (math.log10(n + m) - math.log10(k)) > limit + 1:
+    k = min(n, m, 4 * (limit or G0N_MAX_WORK))
+    digits = k * (math.log10(n + m) - math.log10(k)) if k else 0
+    if limit and digits > limit + 1:
         raise DomainError("the result has an integer of more than %d digits" % limit)
+    if len(ea.terms) * len(eb.terms) * digits > G0N_MAX_WORK:
+        raise DomainError("the product takes more than %d pair-digits of work" % G0N_MAX_WORK)
 
 
 def _run_bracket(args, ctx):

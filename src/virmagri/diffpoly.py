@@ -140,15 +140,10 @@ class DiffPoly(Sparse):
 
     def partial_wrt(self, k: int) -> "DiffPoly":
         """Formal partial derivative with respect to the generator dkL,
-        all generators treated as independent variables."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            count = m.count(k)
-            if count:
-                idx = m.index(k)
-                newm = m[:idx] + m[idx + 1:]
-                out[newm] = out.get(newm, 0) + c * count
-        return DiffPoly(out)
+        all generators treated as independent variables: each factor dkL of
+        a monomial in turn is replaced by 1."""
+        return DiffPoly.collect((m[:i] + m[i + 1:], c) for m, c in self.terms.items()
+                                for i, j in enumerate(m) if j == k)
 
     def orders_present(self) -> set[int]:
         """Derivative orders occurring in any monomial."""

@@ -37,29 +37,19 @@ class K0SigmaElem(Sparse):
 
 def _linear(e: K0SigmaElem, on_basis) -> K0SigmaElem:
     """Extend a basis-level map (Partition -> K0SigmaElem) linearly."""
-    out: dict = {}
-    for p, c in e.terms.items():
-        for q, d in on_basis(p).terms.items():
-            out[q] = out.get(q, 0) + c * d
-    return K0SigmaElem(out)
+    return K0SigmaElem.collect((q, c * d) for p, c in e.terms.items()
+                               for q, d in on_basis(p).terms.items())
 
 
 def phi_sigma(e: K0SigmaElem) -> DiffPoly:
     """Basis class of mu goes to the monomial with orders (part-1 for each part)."""
-    out: dict = {}
-    for p, c in e.terms.items():
-        m = tuple(part - 1 for part in p.parts)
-        out[m] = out.get(m, 0) + c
-    return DiffPoly(out)
+    return DiffPoly.collect((tuple(part - 1 for part in p.parts), c)
+                            for p, c in e.terms.items())
 
 
 def phi_sigma_inv(f: DiffPoly) -> K0SigmaElem:
     """Inverse correspondence: order k becomes part k+1."""
-    out: dict = {}
-    for m, c in f.terms.items():
-        p = Partition(k + 1 for k in m)
-        out[p] = out.get(p, 0) + c
-    return K0SigmaElem(out)
+    return K0SigmaElem.collect((Partition(k + 1 for k in m), c) for m, c in f.terms.items())
 
 
 def ind(e: K0SigmaElem) -> K0SigmaElem:
@@ -109,13 +99,10 @@ def pj_ind(e: K0SigmaElem, j: int) -> K0SigmaElem:
 
 
 def _nabla_basis(p: Partition) -> K0SigmaElem:
-    out: dict = {}
+    """Grow each part in turn; equal parts give the same class."""
     parts = p.parts
-    for v, cnt in p.multiplicities():
-        idx = parts.index(v)
-        q = Partition(parts[:idx] + (v + 1,) + parts[idx + 1:])
-        out[q] = out.get(q, 0) + cnt
-    return K0SigmaElem(out)
+    return K0SigmaElem.collect((Partition(parts[:i] + (v + 1,) + parts[i + 1:]), 1)
+                               for i, v in enumerate(parts))
 
 
 def nabla(e: K0SigmaElem) -> K0SigmaElem:

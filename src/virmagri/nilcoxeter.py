@@ -10,20 +10,13 @@ renormalized through the relation D x = x D + 1.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import add
 
 from .diffpoly import AlgebraCtx, DiffPoly
 from .errors import DomainError
 from .k0sigma import K0SigmaElem
 from .sparse import Sparse
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 class _IntBasisElem(Sparse):
@@ -58,11 +51,8 @@ class G0NElem(_IntBasisElem):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        out: dict = {}
-        for n, c in self.terms.items():
-            for m, d in other.terms.items():
-                out[n + m] = out.get(n + m, 0) + c * d * comb(n + m, n)
-        return G0NElem(out)
+        return G0NElem.collect((n + m, c * d * comb(n + m, n)) for n, c in self.terms.items()
+                               for m, d in other.terms.items())
 
 
 def ind_k0n(e: K0NElem) -> K0NElem:
@@ -144,23 +134,15 @@ class WeylElem(Sparse):
         a lower-order correction term behind."""
         if isinstance(other, int):
             return self.scale(other)
-        out: dict = {}
-        for (a, b), c1 in self.terms.items():
-            for (e, f), c2 in other.terms.items():
-                for k in range(min(b, e) + 1):
-                    key = (a + e - k, b + f - k)
-                    out[key] = out.get(key, 0) + c1 * c2 * comb(b, k) * _falling(e, k)
-        return WeylElem(out)
+        return WeylElem.collect(((a + e - k, b + f - k), c1 * c2 * comb(b, k) * perm(e, k))
+                                for (a, b), c1 in self.terms.items()
+                                for (e, f), c2 in other.terms.items()
+                                for k in range(min(b, e) + 1))
 
     def apply(self, p: XPoly) -> XPoly:
         """Act on a polynomial: x multiplies, D differentiates."""
-        out: dict = {}
-        for (a, b), c in self.terms.items():
-            for n, cn in p.terms.items():
-                if b <= n:
-                    key = n - b + a
-                    out[key] = out.get(key, 0) + c * cn * _falling(n, b)
-        return XPoly(out)
+        return XPoly.collect((n - b + a, c * cn * perm(n, b)) for (a, b), c in self.terms.items()
+                             for n, cn in p.terms.items() if b <= n)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]), reverse=True)

@@ -13,15 +13,6 @@ by a nonzero factor cannot make a zero and builds its result unchecked.
 from __future__ import annotations
 
 
-def acc(d: dict, k, c) -> None:
-    """d[k] += c for an int or Sparse coefficient c.  A sum that cancels
-    to zero stays in d; the constructor reading d drops it."""
-    if not c:
-        return
-    cur = d.get(k)
-    d[k] = c if cur is None else cur + c
-
-
 class Sparse:
     """Immutable finite combination: terms maps keys to nonzero coefficients.
 
@@ -49,6 +40,16 @@ class Sparse:
         return out
 
     @classmethod
+    def collect(cls, pairs):
+        """The sum of (key, coefficient) pairs, a key possibly repeated and a
+        coefficient an int or a Sparse value; cancelled keys are dropped."""
+        out: dict = {}
+        for k, c in pairs:
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
+        return cls(out)
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -62,7 +63,7 @@ class Sparse:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
-        # acc inlined: this loop is the hot path of polynomial sums.  Both
+        # collect inlined: this loop is the hot path of polynomial sums.  Both
         # sides hold no zero, so only a key the merge cancels is deleted.
         out = dict(self.terms)
         get = out.get
@@ -94,6 +95,7 @@ class Sparse:
             return NotImplemented
         if isinstance(other, int):
             return self.scale(other)
+        # collect inlined: this loop is the hot path of polynomial products.
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

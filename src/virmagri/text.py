@@ -38,7 +38,7 @@ from .errors import DomainError, ParseError
 from .k0sigma import K0SigmaElem
 from .nilcoxeter import G0NElem, K0NElem, WeylElem, XPoly
 from .partitions import Partition
-from .sparse import acc
+from .sparse import Sparse
 
 # A monomial is stored as a tuple with one entry per factor, so the ten
 # characters "L^99999999" would ask for 10^8 entries.  The parser refuses a
@@ -138,32 +138,32 @@ def _take_coeff(s: _Scanner, starts: str, what: str) -> int:
     return 1 if c is None else c
 
 
-def _parse_sum(s: _Scanner, take_term, stops: str = "") -> dict:
-    """Read a signed sum of terms; take_term(s) reads one term, sign
-    excluded, and returns (key, coefficient).  A bare 0 followed by the end
-    or a character of stops is the empty sum.  Stops before the first token
-    that is not '+' or '-' after a term; cancelled keys are left in the
-    returned dict for the element constructor to drop."""
-    terms: dict = {}
+def _parse_sum(s: _Scanner, take_term, stops: str = "") -> list:
+    """Read a signed sum of terms and return its signed (key, coefficient)
+    pairs, a key possibly repeated, for the caller's Sparse.collect to sum.
+    take_term(s) reads one term, sign excluded.  A bare 0 followed by the
+    end or a character of stops is the empty sum.  Stops before the first
+    token that is not '+' or '-' after a term."""
+    pairs = []
     if s.peek() == "0":
         mark = s.pos
         s.pos += 1
         if s.at_end() or s.peek() in stops:
-            return terms
+            return pairs
         s.pos = mark
     sign = _take_sign(s, required=False)
     while sign is not None:
         key, c = take_term(s)
-        acc(terms, key, c if sign > 0 else -c)
+        pairs.append((key, c if sign > 0 else -c))
         sign = _take_sign(s, required=True)
-    return terms
+    return pairs
 
 
-def _parse(text: str, take_term) -> dict:
+def _parse(text: str, take_term) -> list:
     s = _Scanner(text)
-    terms = _parse_sum(s, take_term)
+    pairs = _parse_sum(s, take_term)
     s.expect_end()
-    return terms
+    return pairs
 
 
 def _power(var: str, n: int) -> str:
@@ -217,7 +217,7 @@ def _diffpoly_term(s: _Scanner):
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
-    return DiffPoly(_parse(text, _diffpoly_term))
+    return DiffPoly.collect(_parse(text, _diffpoly_term))
 
 
 def _format_mono(m) -> str:
@@ -237,7 +237,7 @@ def _lambda_term(take_term, cls):
 
     def take(s: _Scanner):
         s.expect("(")
-        coeff = cls(_parse_sum(s, take_term, stops=")"))
+        coeff = cls.collect(_parse_sum(s, take_term, stops=")"))
         s.expect(")")
         k = 0
         if s.take("*"):
@@ -250,7 +250,7 @@ def _lambda_term(take_term, cls):
 
 
 def parse_lambdapoly(text: str) -> LambdaPoly:
-    return LambdaPoly(_parse(text, _lambda_term(_diffpoly_term, DiffPoly)))
+    return LambdaPoly.collect(_parse(text, _lambda_term(_diffpoly_term, DiffPoly)))
 
 
 def _format_lambda_terms(coeffs: dict, fmt) -> str:
@@ -304,7 +304,7 @@ def _partition_term(s: _Scanner):
 
 
 def parse_k0sigma(text: str) -> K0SigmaElem:
-    return K0SigmaElem(_parse(text, _partition_term))
+    return K0SigmaElem.collect(_parse(text, _partition_term))
 
 
 def format_k0sigma(e: K0SigmaElem) -> str:
@@ -338,9 +338,9 @@ def parse_kn(text: str):
         s.expect("]")
         return n, c
 
-    terms = _parse(text, take_term)
+    pairs = _parse(text, take_term)
     kind = kind or "N"
-    return kind, (K0NElem if kind == "N" else G0NElem)(terms)
+    return kind, (K0NElem if kind == "N" else G0NElem).collect(pairs)
 
 
 def format_kn(e) -> str:
@@ -355,7 +355,7 @@ def _xpoly_term(s: _Scanner):
 
 
 def parse_xpoly(text: str) -> XPoly:
-    return XPoly(_parse(text, _xpoly_term))
+    return XPoly.collect(_parse(text, _xpoly_term))
 
 
 def format_xpoly(p: XPoly) -> str:
@@ -370,7 +370,7 @@ def _weyl_term(s: _Scanner):
 
 
 def parse_weyl(text: str) -> WeylElem:
-    return WeylElem(_parse(text, _weyl_term))
+    return WeylElem.collect(_parse(text, _weyl_term))
 
 
 def _format_weyl_key(key) -> str:
@@ -385,8 +385,7 @@ def format_weyl(w: WeylElem) -> str:
 
 def parse_k0lambda(text: str) -> dict[int, K0SigmaElem]:
     """Lambda-polynomial text with class-combination coefficients."""
-    terms = _parse(text, _lambda_term(_partition_term, K0SigmaElem))
-    return {k: v for k, v in terms.items() if v}
+    return Sparse.collect(_parse(text, _lambda_term(_partition_term, K0SigmaElem))).terms
 
 
 def format_k0lambda(coeffs: dict[int, K0SigmaElem]) -> str:

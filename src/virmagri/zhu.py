@@ -16,22 +16,12 @@ from .nilcoxeter import XPoly
 
 def zhu_h(f: DiffPoly) -> XPoly:
     """Multiplicative projection: L -> x, dkL -> 0 for k >= 1, 1 -> 1."""
-    out: dict = {}
-    for m, c in f.terms.items():
-        if all(k == 0 for k in m):
-            n = len(m)
-            out[n] = out.get(n, 0) + c
-    return XPoly(out)
+    return XPoly.collect((len(m), c) for m, c in f.terms.items() if all(k == 0 for k in m))
 
 
 def q_map(f: DiffPoly) -> XPoly:
     """Multiplicative quotient map: L -> x, d1L -> 1, dkL -> 0 for k >= 2."""
-    out: dict = {}
-    for m, c in f.terms.items():
-        if all(k <= 1 for k in m):
-            n = sum(1 for k in m if k == 0)
-            out[n] = out.get(n, 0) + c
-    return XPoly(out)
+    return XPoly.collect((m.count(0), c) for m, c in f.terms.items() if all(k <= 1 for k in m))
 
 
 def zhu_poisson_bracket(a: DiffPoly, b: DiffPoly, ctx: AlgebraCtx) -> XPoly:

@@ -72,9 +72,11 @@ def test_records_each_checkouts_source_line_count(tmp_path, monkeypatch):
 
 
 def _pairs(parent: list[float], change: list[float]) -> list[dict]:
-    """Synthetic bench_ab pairs: wall_s as given, the other metrics 1.0."""
+    """Synthetic bench_ab pairs of correct runs with no failed operation:
+    wall_s as given, the other metrics 1.0."""
     def row(wall):
-        return {"metrics": {m: wall if m == "wall_s" else 1.0 for m in bench_ab.METRICS}}
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m: wall if m == "wall_s" else 1.0 for m in bench_ab.METRICS}}
     return [{"parent": row(a), "change": row(b)} for a, b in zip(parent, change)]
 
 
@@ -156,3 +158,39 @@ def test_summary_and_pair_lines_give_each_sides_pass_count(tmp_path, monkeypatch
     assert len(lines) == bench_ab.PAIRS and all(l.endswith("passes 12 and 9") for l in lines)
     summary = json.loads(out.read_text())["workloads"]["cli-large"]["summary"]
     assert summary["passes"] == {"parent": 12, "change": 9}
+
+
+def test_summary_and_pair_lines_count_each_sides_failures(tmp_path, monkeypatch, capsys):
+    # The change's third run is incorrect and fails 2 of its 40 operations.
+    pairs = _pairs([1.0] * 4, [1.0] * 4)
+    for p in pairs:
+        p["parent"]["attempted"], p["change"]["attempted"] = 50, 40
+    pairs[2]["change"].update(correct=False, failed=2)
+    assert bench_ab._summary(pairs)["failures"] == {
+        "parent": {"incorrect_runs": 0, "failed": 0, "attempted": 200, "failed_share": 0.0},
+        "change": {"incorrect_runs": 1, "failed": 2, "attempted": 160, "failed_share": 2 / 160}}
+    assert bench_ab._failures([])["parent"] == {"incorrect_runs": 0, "failed": 0, "attempted": 0, "failed_share": None}
+
+    _repo(tmp_path / "a")
+    _repo(tmp_path / "b")
+    calls = []
+
+    def run(checkout, workload, seed, trace):
+        calls.append(checkout)
+        bad = checkout.endswith("b") and len(calls) in (3, 4)  # the change in pair 2
+        return {"correct": not bad, "attempted": 10, "failed": 3 if bad else 0,
+                "metrics": {m: 1.0 for m in bench_ab.METRICS}}
+
+    monkeypatch.setattr(bench_ab, "_run", run)
+    out = tmp_path / "BENCH.json"
+    assert bench_ab.main(["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+                          "--workload", "dense-bracket", "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert "failed 0/10 and 0/10, incorrect runs 0 and 0, passes None and None" in lines[0]
+    assert "failed 0/20 and 3/20, incorrect runs 0 and 1," in lines[1]
+    assert "failed 0/%d and 3/%d, incorrect runs 0 and 1," % (10 * bench_ab.PAIRS,
+                                                              10 * bench_ab.PAIRS) in lines[-1]
+    summary = json.loads(out.read_text())["workloads"]["dense-bracket"]["summary"]
+    assert summary["failures"]["change"] == {"incorrect_runs": 1, "failed": 3,
+                                             "attempted": 10 * bench_ab.PAIRS,
+                                             "failed_share": 3 / (10 * bench_ab.PAIRS)}

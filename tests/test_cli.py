@@ -198,6 +198,27 @@ def test_class_products_too_long_to_print_are_refused_fast(capsys):
         assert len(out.split("*")[0]) == digits
 
 
+def test_class_products_past_the_work_limit_are_refused_fast(capsys, monkeypatch):
+    # The square of [L1] + ... + [L999] has small enough constants but ran
+    # 44 s: the work grows as the pairs times their digits.  The work rule
+    # holds with the str() digit limit off too (0 means no limit).
+    def classes(k):
+        return " + ".join("[L%d]" % i for i in range(1, k + 1))
+
+    for limit in (sys.get_int_max_str_digits(), 0):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        for a in (classes(999), "[L%d]" % 10 ** 400):
+            start = time.monotonic()
+            code, out, err = run(capsys, "mul", a, a)
+            assert time.monotonic() - start < 2
+            assert (code, out) == (3, "") and err.startswith("domain error:")
+            assert "Traceback" not in err
+        assert "work" in run(capsys, "mul", classes(999), classes(999))[2]
+    monkeypatch.undo()
+    code, out, err = run(capsys, "mul", classes(299), classes(299))
+    assert (code, err) == (0, "") and out.endswith(" + 2*[L2]")
+
+
 def test_nprod_past_the_top_power_is_zero(capsys):
     assert run(capsys, "nprod", "L", "L", str(10 ** 15)) == (0, "0", "")
 
@@ -332,26 +353,34 @@ mul [L2] '[L1] + [L0]'
 mul [2] L
 mul [N1] [L1]
 mul [N1] [1]
+mul '[L1] + [L2]' '[L1] - [L2]'
 der 'd1L^2 L'
 der '3 dxL'
 pjind [5,2,1] 4
 pjind [2,1] 0
 nabla [2,2,1]
+nabla '[3,1] - [2,2]'
 ind [N3]
 ind '2*[L5] - [L1]'
 ind [2,1]
+ind '[2] + [1,1]'
 ind 0
 res '2*[L5] - [L1]'
 res [N0]
 res [2,1]
+res '[2,1] - [3]'
 zhu 'L^2 d3L + 2 L'
+zhu 'L^2 + 3 L^2 - 4 L^2 d1L'
 qmap 'L d1L^2 + d2L'
+qmap 'L d1L + L d1L^2 - L'
 quantize L^2
 quantize [2,1,1]
 quantize []
 quantize L --charge 2
+quantize 'L^2 - L^2'
 phi [3,1,1]
 phi 'd2L L^2'
+phi 'd1L L + L d1L'
 phi [N4]
 phi [L2]
 phi 0
@@ -523,6 +552,33 @@ PINNED_OUTPUTS = {
         "04f41d8a2a996ceb51a07b63643afde1ac43170a973915f84b5cd6810d1a5e5a",
     "phi --help": "53788bddc3018adce1ecb124a521c238cf1ce082d41d481c6013de75c521dcac",
     "phi --help --format json": "53788bddc3018adce1ecb124a521c238cf1ce082d41d481c6013de75c521dcac",
+    "mul '[L1] + [L2]' '[L1] - [L2]'":
+        "9c917dd261febb435655378803cb636d4208c368c0b8d92c696065d9ec8e0a5f",
+    "mul '[L1] + [L2]' '[L1] - [L2]' --format json":
+        "a9f03dcfa4ee3056859dbcb9bbc799f51b3da6ce4e7959ddb731d866edd39214",
+    "nabla '[3,1] - [2,2]'": "1b2e92b5a5208f121c2e8900135d9118b58021164acd0958219cc5c33e226979",
+    "nabla '[3,1] - [2,2]' --format json":
+        "05af1e93aac5ec2b034d9df0971376cd6503ced7186502ec345d06388c458d2f",
+    "ind '[2] + [1,1]'": "e3b60310e68ecc157f5de0b38d24d6db29a0ce3d5ce181736def4c60c88e352f",
+    "ind '[2] + [1,1]' --format json":
+        "fa7fcb7f735f4c6546dacdc8c0787885f713642103ff7cbb56c3ff4086e1b169",
+    "res '[2,1] - [3]'": "77f5e9588b10bccb24224589c7a5e90689a148fbfe129e078207c9d9d45f89cb",
+    "res '[2,1] - [3]' --format json":
+        "eda42827522b528baa4b40a81e780cb7b1cfbccc66e8e90ebf6037e4c48a018e",
+    "zhu 'L^2 + 3 L^2 - 4 L^2 d1L'":
+        "1c93779d000def996a4ad73fa0478aceb2d33c818221a79df4f76cb5cf1825d0",
+    "zhu 'L^2 + 3 L^2 - 4 L^2 d1L' --format json":
+        "b7cfd9d4efdd1fe2bc904fabe9c5ba33c97c072cce24e85966103b847ebbf04d",
+    "qmap 'L d1L + L d1L^2 - L'":
+        "808ee5f603252336236d495f4230c09215a70af132f99fc88b73bf012840e0bc",
+    "qmap 'L d1L + L d1L^2 - L' --format json":
+        "6abf25c3ac9bf4ae161e0e59f03cb920ed21dd991d86954b236fd4d7dcad26f5",
+    "quantize 'L^2 - L^2'": "c20c606b7cf2283c7babbadd203a9105202b7934867a946ea1cd86b1f22fabba",
+    "quantize 'L^2 - L^2' --format json":
+        "49ed6e1bbbcebb16bf59caebbfc9b28273b83900ba578680d71ee38148364f05",
+    "phi 'd1L L + L d1L'": "66274ac496e793322c4af14fde8dcc5fe337b7c014814f296b310aaa427f5310",
+    "phi 'd1L L + L d1L' --format json":
+        "e5a68fff5623fe888c16657042e6a8ae4415dd253ccba8105f552113e9c08f6b",
     "count-syt --help": "f0a69879f69dc801fd78d0de7b9a4aa776f5cea9622e2953d5ecc616de125dd8",
     "count-syt --help --format json":
         "f0a69879f69dc801fd78d0de7b9a4aa776f5cea9622e2953d5ecc616de125dd8",

@@ -74,3 +74,28 @@ def test_constructor_copies_and_drops_zeros(a):
         assert all(a.scale(f).terms.values())
     assert all((-a).terms.values())
     assert a.scale(0).terms == {} and a.scale(0) == cls.zero()
+
+
+@pytest.mark.parametrize("a", SAMPLES, ids=lambda a: type(a).__name__)
+def test_collect_sums_pairs_and_drops_cancelled_keys(a):
+    cls, items = type(a), list(a.terms.items())
+    # Repeated keys sum; a LambdaPoly's DiffPoly coefficients add as Sparse values.
+    assert cls.collect(items + items) == a + a
+    assert cls.collect([(k, 3 * c) for k, c in items] + [(k, -2 * c) for k, c in items]) == a
+    # A full cancellation leaves no key, not a zero coefficient.
+    (k0, c0), *rest = items
+    got = cls.collect(items + [(k0, -c0)])
+    assert got.terms == dict(rest) and k0 not in got.terms
+    assert cls.collect(items + [(k, -c) for k, c in items]).terms == {}
+    assert cls.collect([]).terms == {} and cls.collect(iter(items)) == a
+    # A plain-dict model of the same sum, interleaved repeats included.
+    pairs = [(k, m * c) for m in (2, -1, 5, -6) for k, c in items] + items[:1]
+    model: dict = {}
+    for k, c in pairs:
+        model[k] = model[k] + c if k in model else c
+    assert cls.collect(pairs) == cls(model) == cls(dict(items[:1]))
+
+
+def test_collect_adds_sparse_coefficients():
+    got = LambdaPoly.collect([(0, L), (2, dL), (0, dL), (2, -dL), (1, 2 * L), (1, L)])
+    assert got == LambdaPoly({0: L + dL, 1: 3 * L}) and 2 not in got.terms

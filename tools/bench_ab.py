@@ -19,9 +19,11 @@ refused before any run.  Each metric's summary gives the parent's and
 the change's medians and IQRs, the pairs in which the change is lower,
 and the median change/parent ratio with an exact sign-test interval;
 the summary's "passes" gives each side's median number of timed passes
-per run, printed for each pair as it runs.  The record also gives each
-checkout's src/virmagri line count (src_lines), so a change's size sits
-beside its timings.
+per run, and its "failures" each side's runs with correct false and its
+failed operations over its attempted ones.  Both are printed for each
+pair as it runs, the failures as totals so far.  The record also gives
+each checkout's src/virmagri line count (src_lines), so a change's size
+sits beside its timings.
 With --trace, one `--trace 1` run per side follows the pairs and its
 per-layer metrics are stored as they are.
 """
@@ -115,11 +117,24 @@ def _passes(row: dict) -> int | None:
     return None if walls is None else len(walls)
 
 
+def _failures(pairs: list[dict]) -> dict:
+    """Per side: the runs with correct false, the failed and attempted
+    operations summed over the runs, and the failed share of them."""
+    out = {}
+    for side in ("parent", "change"):
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        out[side] = {"incorrect_runs": sum(not p[side]["correct"] for p in pairs),
+                     "failed": failed, "attempted": attempted,
+                     "failed_share": failed / attempted if attempted else None}
+    return out
+
+
 def _summary(pairs: list[dict]) -> dict:
     # Each side's median pass count: perfbench's runner grows with the
     # passes of a run, so a peak_rss_mb shift can come from a side that
     # fit more passes into the run rather than from the code.
-    out = {"passes": {}}
+    out = {"passes": {}, "failures": _failures(pairs)}
     for side in ("parent", "change"):
         counts = [n for p in pairs if (n := _passes(p[side])) is not None]
         out["passes"][side] = statistics.median(counts) if counts else None
@@ -168,10 +183,14 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = _run(sides[side], args.workload, seed, trace=False)
         pairs.append(pair)
-        print("bench_ab: %s pair %d seed %d wall_s parent %.3f change %.3f, passes %s and %s" % (
-            args.workload, i + 1, seed, pair["parent"]["metrics"]["wall_s"],
-            pair["change"]["metrics"]["wall_s"], _passes(pair["parent"]),
-            _passes(pair["change"])), file=sys.stderr, flush=True)
+        fails = _failures(pairs)
+        fp, fc = fails["parent"], fails["change"]
+        print("bench_ab: %s pair %d seed %d wall_s parent %.3f change %.3f, failed %d/%d and "
+              "%d/%d, incorrect runs %d and %d, passes %s and %s" % (
+                  args.workload, i + 1, seed, pair["parent"]["metrics"]["wall_s"],
+                  pair["change"]["metrics"]["wall_s"], fp["failed"], fp["attempted"],
+                  fc["failed"], fc["attempted"], fp["incorrect_runs"], fc["incorrect_runs"],
+                  _passes(pair["parent"]), _passes(pair["change"])), file=sys.stderr, flush=True)
     entry = {"pairs": pairs, "summary": _summary(pairs)}
     if args.trace:
         entry["trace"] = {side: _run(sides[side], args.workload, args.first_seed, trace=True) for side in ("parent", "change")}
