@@ -7,17 +7,16 @@ arithmetic.
 
 Two independent evaluators are provided.  bracket_master expands the
 closed-form sum over generator partials of the shifted generator
-bracket in three linear stages, each a shift, the last two then one
-_products pass: the partials of f under lambda -> -lambda-d; (lambda+d)^p
-of those times the generator bracket's c_p, the f side M_f; (lambda+d)^n
-M_f times dg/du^(n).  Each shift takes every power of (lambda+d) it
-needs from one derivative chain per coefficient.  bracket_recursive
-reduces arguments step by step through the product rule and
-skew-symmetry down to pairs of single generators, whose bracket
-(-lambda)^i (lambda+d)^j {L_lambda L} it writes out term by term; its
-leaf and its skew flip are its own code, so a fault in the shift loops
-cannot reach both sides.  They must agree everywhere; the verification
-suites compare them case by case.
+bracket in two linear stages, each a shift: the partials of f under
+lambda -> -lambda-d, Phi; the powers (lambda+d)^t Phi, the f side, free
+of the charge.  One _products pass multiplies each power by the g side
+H_t, the partials of g times derivatives of the generator bracket's
+coefficients.  bracket_recursive reduces arguments step by step through
+the product rule and skew-symmetry down to pairs of single generators,
+whose bracket (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term
+by term; its leaf and its skew flip are its own code, so a fault in the
+shift loops cannot reach both sides.  They must agree everywhere; the
+verification suites compare them case by case.
 
 Both build each lambda power's coefficient as one plain {monomial: int}
 dict, adding every term into it in place, and wrap it once at the end.
@@ -32,9 +31,10 @@ the package is diffpoly.derive_terms, its one derivative loop; the
 monomial form enters through the row source it is given: DiffPoly's
 cached rows of tuple monomials, or a _Rows of packed ones.
 
-A bracket_memo() context shares one thing across bracket_master calls:
-each left operand's f side with the powers of (lambda+d) asked of it,
-never a result; the packed derivative rows live for one f-side build.
+A bracket_memo() context shares one thing across bracket_master calls
+and charges: each left operand's f side with the powers of (lambda+d)
+asked of it, never a result; the packed derivative rows live for one
+f-side build.
 bracket_recursive brackets each monomial pair once per call and keeps
 nothing between calls.
 """
@@ -95,15 +95,18 @@ def _shift_sums(terms: dict, ms, row_of) -> dict:
 
     lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
     coefficient's derivative chain runs once, up to max(ms), and each
-    d^k P is added, scaled, straight into the sum of every m >= k.
+    d^k P is added, scaled, straight into the sum of every m >= k, with
+    C(m,k) made from C(m,k-1) when a chain first reaches k.
     """
-    rows = [(m, [comb(m, k) for k in range(m + 1)], {}) for m in sorted(set(ms), reverse=True)]
+    rows = [(m, [1], {}) for m in sorted(set(ms), reverse=True)]
     top = rows[0][0] if rows else -1
     for j, p in terms.items():
         for k in range(top + 1):
             for m, row, sums in rows:
                 if m < k:
                     break
+                if k == len(row):
+                    row.append(row[-1] * (m - k + 1) // k)
                 _add_into(sums, j + m - k, p, row[k])
             if k == top or not (p := derive_terms(p, row_of)):
                 break
@@ -201,13 +204,12 @@ _memo: dict | None = None
 
 @contextmanager
 def bracket_memo():
-    """Share bracket_master's f sides (see _f_side) across calls until the
-    outermost context exits; a nested context shares the dict of the one
-    around it.  This is operand work, never a result: within a context
-    each f side is built once, and a g against it costs one pass of
-    products and unpacking, plus any power no earlier g asked for; a pair
-    met again costs that pass again.  Outside a context each call builds
-    its f side afresh and frees it before its result is unpacked.
+    """Share bracket_master's f sides (see _f_side) across calls and
+    charges until the outermost context exits; a nested context shares
+    the dict of the one around it.  This is operand work, never a result:
+    a g against a kept f side costs its g side, one pass of products and
+    unpacking, and any power no earlier g asked for.  Outside a context
+    each call builds its f side afresh.
 
     The dict grows with the distinct left operands met; a context should
     span one verification sweep, not a whole suite.  On exit the
@@ -230,53 +232,51 @@ def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     """Closed-form bracket of two differential polynomials by the master
     formula.
 
-    {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n M_f, M_f the f side of
-    the formula: the partials of f put through the generator bracket,
-    which depends on f and the charge only (see _f_side).  The sum is
-    formed on packed monomials (see _pack), w bits a field with
-    w = (F + G + 1).bit_length(), F and G the most factors of a monomial
-    of f and of g: no monomial met has more than F + G - 1 factors, so no
-    field can overflow.
+    {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n {L_(lambda+d) L} Phi with
+    Phi = sum_m (-lambda-d)^m df/du^(m).  Each c_p of {L_lambda L} =
+    sum_p c_p lambda^p is a constant or one generator, so by Leibniz the
+    sum is sum_t H_t (lambda+d)^t Phi: the g side H_t = sum_(n-s+p=t)
+    C(n,s) d^s c_p dg/du^(n), each d^s c_p one packed key (see _pack),
+    times the f side, free of the charge (see _f_side).  A field has
+    w = (F + G + 1).bit_length() bits, F and G the most factors of a
+    monomial of f and of g: no monomial met has more than F + G - 1
+    factors, so no field can overflow.
     """
-    most = max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0)
-    w = (most + 1).bit_length()
+    w = (max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0) + 1).bit_length()
+    hs: dict = {}
     dg = _packed_partials(g, w)
-    sums = _products(_f_side(f, w, ctx, dg), dg)
+    for p, q in gen_bracket(ctx).terms.items():
+        ((m, c),) = q.terms.items()
+        for n, gn in dg.items():
+            b = c  # c * C(n, s); d^s of a constant is zero for s > 0
+            for s in range(n + 1 if m else 1):
+                key = 1 << (w * (m[0] + s)) if m else 0
+                _add_into(hs, n - s + p, {k + key: v for k, v in gn.items()}, b)
+                b = b * (n - s) // (s + 1)
+    sums = _products(_f_side(f, w, _strip(hs)), hs)
     for k, d in sums.items():
         sums[k] = {_unpack(m, w): c for m, c in d.items() if c}
     return _wrap(sums)
 
 
-def _f_side(f: DiffPoly, w: int, ctx: AlgebraCtx, ns) -> dict:
-    """{n: (lambda+d)^n M_f} on packed keys of width w, for 0 and at least
-    every n in ns, M_f being the f side of the master formula.
-
-    M_f takes two stages, each linear in the one before: the partials of
-    f keyed by order put through lambda -> -lambda-d, sum_m
-    (-lambda-d)^m df/du^(m); then the generator bracket c_p lambda^p
-    acting on it from the right, sum_p c_p (lambda+d)^p.  The second
-    stage and the powers each take every power they need from one
-    _shift_sums call.  Inside a bracket_memo() the powers are kept in
-    _memo under (f terms, w, charge), M_f as power 0; a later call asking
-    for an n not there yet adds it from M_f.  The packed derivative rows
-    live in a _Rows of width w made for this call, and only if it builds
-    or adds something: _memo keeps no rows.
+def _f_side(f: DiffPoly, w: int, ts) -> dict:
+    """{t: (lambda+d)^t Phi} on packed keys of width w, for 0 and at least
+    every t in ts, Phi the partials of f keyed by order put through
+    lambda -> -lambda-d.  A bracket_memo() keeps them in _memo under
+    (f terms, w), for every charge; a later call adds any t not there yet
+    from Phi, power 0.  The packed derivative rows live in a _Rows of
+    width w made for this call, and only if it builds or adds something.
     """
     sides = {} if _memo is None else _memo
-    key = (frozenset(f.terms.items()), w, ctx.central_charge)
+    key = (frozenset(f.terms.items()), w)
     powers = sides.get(key)
-    if powers is not None and all(n in powers for n in ns):
+    if powers is not None and all(t in powers for t in ts):
         return powers
     row_of = _Rows(w).__getitem__
     if powers is None:
-        base = _strip(_neg_shift_sums(_packed_partials(f, w), row_of))
-        gb = {p: {_pack(m, w): c for m, c in q.terms.items()}
-              for p, q in gen_bracket(ctx).terms.items()}
-        powers = sides[key] = {0: _strip(_products(_shift_sums(base, gb, row_of), gb))}
-    missing = [n for n in ns if n not in powers]
-    if missing:
-        for n, sh in _shift_sums(powers[0], missing, row_of).items():
-            powers[n] = _strip(sh)
+        powers = sides[key] = {0: _strip(_neg_shift_sums(_packed_partials(f, w), row_of))}
+    for t, sh in _shift_sums(powers[0], [t for t in ts if t not in powers], row_of).items():
+        powers[t] = _strip(sh)
     return powers
 
 

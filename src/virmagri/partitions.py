@@ -112,16 +112,6 @@ class Partition:
             raise DomainError("cannot insert a row of %d boxes" % j)
         return Partition(self.parts + (j,))
 
-    def multiplicities(self) -> list[tuple[int, int]]:
-        """Distinct part values in decreasing order, each with its count."""
-        out: list[list[int]] = []
-        for p in self.parts:
-            if out and out[-1][0] == p:
-                out[-1][1] += 1
-            else:
-                out.append([p, 1])
-        return [(v, c) for v, c in out]
-
 
 def standard_tableaux_count(p) -> int:
     """Number of standard fillings of the diagram of p, by the hook-length

@@ -292,10 +292,6 @@ def parse_partition(text: str) -> Partition:
     return p
 
 
-def format_partition(p: Partition) -> str:
-    return str(p)
-
-
 # -------------------------------------------------------- class elements
 
 def _partition_term(s: _Scanner):

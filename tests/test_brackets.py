@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -105,6 +106,29 @@ def test_shift_apply_takes_one_derivative_chain(monkeypatch):
     assert 0 < len(calls) <= 1500
     monkeypatch.undo()
     assert got == LambdaPoly({1500 - k: DiffPoly.gen(k) * comb(1500, k) for k in range(1501)})
+
+
+def test_shifts_build_binomials_only_where_a_chain_reaches():
+    # The chain of a constant stops at once, so 3,001 orders cost one
+    # binomial each.  Building each row C(m, 0..m) in full makes about 4.5
+    # million big-integer comb calls here: minutes, and over 500 MB.
+    start = time.perf_counter()
+    got = _shift_sums({0: {(): 1}}, range(3001), _derive_row)
+    assert time.perf_counter() - start < 2
+    assert got == {m: {m: {(): 1}} for m in range(3001)}
+
+
+def test_bracket_master_on_many_orders():
+    # The g side asks for every power t up to the top order of g plus 3.
+    # d3L L against all of d1L..d200L gives 723,150 terms and takes the
+    # oracle 13-19 s a charge, so it meets the dense orders up to d30L
+    # and two high ones.
+    dense_g = sum((DiffPoly.gen(k) for k in range(1, 201)), DiffPoly.zero())
+    sparse_g = sum((DiffPoly.gen(k) for k in [*range(1, 31), 100, 200]), DiffPoly.zero())
+    for ctx in CHARGES:
+        assert bracket_master(L, dense_g, ctx) == bracket_recursive(L, dense_g, ctx)
+        f = DiffPoly.gen(3) * L
+        assert bracket_master(f, sparse_g, ctx) == bracket_recursive(f, sparse_g, ctx)
 
 
 def _flip_model(P: LambdaPoly) -> LambdaPoly:

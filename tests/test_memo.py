@@ -29,14 +29,15 @@ def builds(monkeypatch):
 
 
 def test_memo_keys_on_coefficients(builds):
+    # 2L is an f side of its own; L at charge 0 reuses the one of L at 1.
     with bracket_memo():
         one = bracket_master(L, L, C1)
         two = bracket_master(2 * L, L, C1)
         assert two == one.scale(2) and two != one
         assert bracket_master(L, L, AlgebraCtx(0)) != one
-        assert len(builds) == 3
+        assert len(builds) == 2
         assert bracket_master(L, L, C1) == one
-    assert len(builds) == 3
+    assert len(builds) == 2
 
 
 def test_memo_is_closed_outside_the_context(builds):
@@ -112,8 +113,8 @@ def test_jacobi_builds_one_f_side_per_distinct_left_operand(monkeypatch, builds)
 
 
 def test_one_store_serves_every_width_and_charge():
-    # One f side per (f, w, charge): L meets g's that put w at 2 and 4,
-    # L^7 g's that put it at 4 and 5, all three charges in one memo.
+    # One f side per (f, w), shared by all three charges in one memo: L
+    # meets g's that put w at 2 and 4, L^7 g's that put it at 4 and 5.
     dL = DiffPoly.gen(1)
     fs, gs = (L, L ** 7), (dL, dL * L ** 6, L ** 8)
     ctxs = [AlgebraCtx(c) for c in (0, 1, -2)]
@@ -124,21 +125,24 @@ def test_one_store_serves_every_width_and_charge():
             for i, f in enumerate(fs):
                 for j, g in enumerate(gs):
                     assert bracket_master(f, g, ctx) == want[i, j, ctx]
-        assert {w for _, w, _ in brackets._memo} == {2, 4, 5}
-        assert len(brackets._memo) == 4 * len(ctxs)
+        assert {w for _, w in brackets._memo} == {2, 4, 5}
+        assert len(brackets._memo) == 4
 
 
 def test_memo_holds_only_f_sides():
-    # Keys (f terms, w, charge), each value the powers {n: packed terms}.
+    # Keys (f terms, w), each value the powers {t: packed terms}: every t
+    # of the g side, up to the top order of g plus 1, and plus 3 where the
+    # charge is not 0.
     dL = DiffPoly.gen(1)
     f = L * dL
     with bracket_memo():
         for c in (1, -2):
             bracket_master(f, L * f, AlgebraCtx(c))
             bracket_master(L, dL, AlgebraCtx(c))
-        assert set(brackets._memo) == {(frozenset(g.terms.items()), w, c)
-                                       for g, w in ((f, 3), (L, 2)) for c in (1, -2)}
-        assert all(set(powers) == {0, 1} for powers in brackets._memo.values())
+        assert set(brackets._memo) == {(frozenset(g.terms.items()), w)
+                                       for g, w in ((f, 3), (L, 2))}
+        assert set(brackets._memo[frozenset(f.terms.items()), 3]) == {0, 1, 2, 3, 4}
+        assert set(brackets._memo[frozenset(L.terms.items()), 2]) == {0, 1, 2, 4}
 
 
 def test_rows_die_with_their_f_side_call(monkeypatch):
@@ -164,9 +168,9 @@ def test_rows_die_with_their_f_side_call(monkeypatch):
     bracket_master(L, L, C1)
     assert len(refs) == 1
     with bracket_memo():
-        bracket_master(L, L, C1)  # builds M_L with power 0
-        bracket_master(L, dL, C1)  # adds power 1
-        bracket_master(L, dL + L, C1)  # has powers 0 and 1
+        bracket_master(L, L, C1)  # builds Phi_L with powers 1 and 3
+        bracket_master(L, dL, C1)  # adds powers 2 and 4
+        bracket_master(L, dL + L, C1)  # has powers 0 to 4
         assert len(refs) == 3
     assert all(r() is None for r in refs)
 
@@ -189,17 +193,19 @@ def test_repeated_pair_builds_no_row(monkeypatch):
 
 
 def test_memo_builds_each_f_side_once(monkeypatch, builds):
-    # The 30 smallest monomials after the unit, up to degree 7.
+    # The 30 smallest monomials after the unit, up to degree 7, at three
+    # charges in one memo: each (f, w) is built once for all of them.
     monos = [tuple(v - 1 for v in p.parts) for p in partitions_upto(7)][1:31]
+    ctxs = [AlgebraCtx(c) for c in (1, 0, -2)]
     with bracket_memo():
-        got = {(a, b): bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), C1)
-               for a in monos for b in monos}
+        got = {(a, b, ctx): bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), ctx)
+               for ctx in ctxs for a in monos for b in monos}
     widths = {(a, (len(a) + len(b) + 1).bit_length()) for a in monos for b in monos}
     assert len(monos) == 30
-    assert len(builds) == len(widths) < len(got)
+    assert len(builds) == len(widths) < len(got) // len(ctxs)
     monkeypatch.undo()
-    for (a, b), br in got.items():
-        assert br == bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), C1)
+    for (a, b, ctx), br in got.items():
+        assert br == bracket_master(DiffPoly.monomial(a), DiffPoly.monomial(b), ctx)
 
 
 def test_store_is_dropped_on_exit():

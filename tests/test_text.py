@@ -26,7 +26,6 @@ from virmagri.text import (
     format_k0sigma,
     format_kn,
     format_lambdapoly,
-    format_partition,
     format_value,
     format_weyl,
     format_xpoly,
@@ -102,7 +101,6 @@ def test_lambdapoly_round_trip(coeffs):
 def test_partition_text():
     assert parse_partition("[5,2,1]") == Partition((5, 2, 1))
     assert parse_partition("[]") == Partition()
-    assert format_partition(Partition((5, 2, 1))) == "[5,2,1]"
     with pytest.raises(ParseError):
         parse_partition("[5,2")
     with pytest.raises(ParseError):
