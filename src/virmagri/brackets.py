@@ -233,26 +233,26 @@ def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
     formula.
 
     {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n {L_(lambda+d) L} Phi with
-    Phi = sum_m (-lambda-d)^m df/du^(m).  Each c_p of {L_lambda L} =
-    sum_p c_p lambda^p is a constant or one generator, so by Leibniz the
-    sum is sum_t H_t (lambda+d)^t Phi: the g side H_t = sum_(n-s+p=t)
-    C(n,s) d^s c_p dg/du^(n), each d^s c_p one packed key (see _pack),
-    times the f side, free of the charge (see _f_side).  A field has
-    w = (F + G + 1).bit_length() bits, F and G the most factors of a
-    monomial of f and of g: no monomial met has more than F + G - 1
-    factors, so no field can overflow.
+    Phi = sum_m (-lambda-d)^m df/du^(m).  The generator bracket's
+    coefficients d1L, 2L and c are one generator or a constant, so by
+    the Leibniz rule the sum is sum_t H_t (lambda+d)^t Phi: the g side
+    H_t = sum_n dg/du^(n) (C(n,t) + 2 C(n,t-1)) d(n-t+1)L + c dg/du^(t-3)
+    times the f side, free of the charge (see _f_side).  Monomials are
+    packed (see _pack) with w = (F + G + 1).bit_length() bits a field, F
+    and G the most factors of a monomial of f and of g: no monomial met
+    has more than F + G - 1 factors, so no field can overflow.
     """
     w = (max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0) + 1).bit_length()
     hs: dict = {}
-    dg = _packed_partials(g, w)
-    for p, q in gen_bracket(ctx).terms.items():
-        ((m, c),) = q.terms.items()
-        for n, gn in dg.items():
-            b = c  # c * C(n, s); d^s of a constant is zero for s > 0
-            for s in range(n + 1 if m else 1):
-                key = 1 << (w * (m[0] + s)) if m else 0
-                _add_into(hs, n - s + p, {k + key: v for k, v in gn.items()}, b)
-                b = b * (n - s) // (s + 1)
+    for n, gn in _packed_partials(g, w).items():
+        c1, c0 = 0, 1  # C(n, t - 1), C(n, t)
+        for t in range(n + 2):
+            d, sh, b = hs.setdefault(t, {}), 1 << (w * (n - t + 1)), c0 + 2 * c1
+            for k, v in gn.items():
+                d[k + sh] = d.get(k + sh, 0) + b * v
+            c1, c0 = c0, c0 * (n - t) // (t + 1)
+        if ctx.central_charge:
+            _add_into(hs, n + 3, gn, ctx.central_charge)
     sums = _products(_f_side(f, w, _strip(hs)), hs)
     for k, d in sums.items():
         sums[k] = {_unpack(m, w): c for m, c in d.items() if c}

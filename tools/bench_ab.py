@@ -71,9 +71,16 @@ def _run(checkout: str, workload: str, seed: int, trace: bool) -> dict:
     # The run's first interpreter fills the cache and the rest read it;
     # with bytecode writes off, every interpreter would compile the
     # standard library and the package from source instead.
+    # One untimed `run.py --help` first compiles the runner's own imports
+    # into the cache.  Compiled in the measured run instead, they raise the
+    # runner's peak RSS, which every child it spawns inherits through
+    # vfork: on a 2-core x86 host each dense-bracket worker then read about
+    # 24.4 MB, above its own peak (24.05 MB at one tree, 23.80 at another).
     with tempfile.TemporaryDirectory(prefix="bench_ab_pycache_") as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run([sys.executable, "perfbench/run.py", "--help"], cwd=checkout, env=env,
+                       capture_output=True, text=True)
         p = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if p.returncode:
         raise SystemExit("bench_ab: %s exited %d:\n%s" % (checkout, p.returncode, p.stderr[-2000:]))
