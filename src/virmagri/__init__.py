@@ -21,6 +21,7 @@ from .brackets import (
 from .diffpoly import AlgebraCtx, DiffPoly, conformal_weight, mono, mono_degree, mono_mul
 from .errors import DomainError, ParseError
 from .k0sigma import (
+    K0LambdaPoly,
     K0SigmaElem,
     ind,
     lambda_bracket_k0,

@@ -44,8 +44,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from math import comb, factorial
 
-from .diffpoly import (AlgebraCtx, DiffPoly, _derive_row, _row_cache, conformal_weight,
-                       derive_terms, mono, mono_mul)
+from .diffpoly import (AlgebraCtx, DiffPoly, _derive_row, conformal_weight, derive_terms, mono,
+                       mono_mul)
 from .errors import DomainError
 from .sparse import Sparse
 
@@ -164,9 +164,6 @@ class BiLambdaPoly(Sparse):
     __slots__ = ()
     __repr__ = object.__repr__  # no text form
 
-    def coeff(self, i: int, j: int) -> DiffPoly:
-        return self.terms.get((i, j), DiffPoly.zero())
-
 
 def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
     """Bracket of the generator with itself: d1L + 2*lambda*L + c*lambda^3."""
@@ -212,9 +209,7 @@ def bracket_memo():
     each call builds its f side afresh.
 
     The dict grows with the distinct left operands met; a context should
-    span one verification sweep, not a whole suite.  On exit the
-    outermost context also clears DiffPoly's row cache (_row_cache), so
-    its rows live no longer than the f sides.
+    span one verification sweep, not a whole suite.
     """
     global _memo
     if _memo is not None:
@@ -225,7 +220,6 @@ def bracket_memo():
         yield
     finally:
         _memo = None
-        _row_cache.cache_clear()
 
 
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:

@@ -104,45 +104,38 @@ SYT_MAX_BOXES = 2500
 # [L_n][L_m] = C(n+m, n) [L_(n+m)], and C(n+m, n) grows with n and m, so
 # the top indices of two combinations give their product's largest
 # constant, on a class no other pair reaches.  C(N, k) >= C(N, K) >=
-# (N/K)^K for K <= k = min(n, m) <= N/2; K = min(k, 4 * (limit or
-# G0N_MAX_WORK)) keeps the float finite and, as N/K >= 2, still clears each
-# bound when k does.  Both rules act before any arithmetic: [L1000000]
-# squared took 37 s to reach exit 3 from str().  The work is len(ea) *
-# len(eb) times the top pair's digits: on a 2-core x86 host the CLI squared
-# [L1] + ... + [Lk] in 0.54 s at k = 299 (work 8.1e6), 4.4 s at 500 (3.8e7)
-# and 5.6 s at 600 (6.5e7).
-G0N_MAX_WORK = 5 * 10**7
-
-
+# (N/K)^K for K <= k = min(n, m) <= N/2; K = min(k, 4 * limit) keeps the
+# float finite and, as N/K >= 2, still clears the limit when k does.  The
+# rule acts before any arithmetic: [L1000000] squared took 37 s to reach
+# exit 3 from str().
 def _printable_g0n_product(ea, eb) -> None:
-    if not (ea and eb):
-        return
     limit = sys.get_int_max_str_digits()  # 0 means no limit
+    if not (limit and ea and eb):
+        return
     n, m = max(ea.terms), max(eb.terms)
-    k = min(n, m, 4 * (limit or G0N_MAX_WORK))
-    digits = k * (math.log10(n + m) - math.log10(k)) if k else 0
-    if limit and digits > limit + 1:
+    k = min(n, m, 4 * limit)
+    if k and k * (math.log10(n + m) - math.log10(k)) > limit + 1:
         raise DomainError("the result has an integer of more than %d digits" % limit)
-    if len(ea.terms) * len(eb.terms) * digits > G0N_MAX_WORK:
-        raise DomainError("the product takes more than %d pair-digits of work" % G0N_MAX_WORK)
 
 
-# mul takes every pair of terms, one from each operand, and the product of
-# two monomials or partition classes sorts their factors or parts, so the
-# work counts 30 for each pair plus the factors or parts of both its keys
-# (a pair costs about 3 us and a factor 0.1 us).  On a 2-core x86 host, as
-# one CLI call, the largest squares inside the limit took 4.0 s for
-# d1L + ... + d960L, 5.1 s for [1] + ... + [960] and 2.9 s for
-# L^99 d1L + ... + L^99 d360L.  [N..] keys have no parts and cost less:
-# [N1] + ... + [N1000] squared took 0.24 s; [N1] + ... + [N6000] took 6.3 s.
+# mul takes every pair of terms, one from each operand, so the work counts
+# 30 for each pair plus the size of both its keys: the factors of a
+# monomial or the parts of a partition class, which the product sorts, 0
+# for [N..] and n // 8 for [L_n], whose C(n+m, n) has about (n+m)/3.3
+# digits when n = m (a pair costs about 3 us and a unit of size 0.1 us).
+# On a 2-core x86 host, as one CLI call, the largest squares inside the
+# limit took 4.0 s for d1L + ... + d960L, 5.1 s for [1] + ... + [960],
+# 2.9 s for L^99 d1L + ... + L^99 d360L and 3.6-4.3 s for [L1] + ... +
+# [L552].  [N1] + ... + [N1000] squared took 0.24 s; [N1] + ... + [N6000]
+# took 6.3 s.
 MUL_MAX_WORK = 3 * 10**7
 
 
-def _bounded_product(a, b, parts=len):
-    """a * b, refused before any arithmetic past MUL_MAX_WORK; parts(key)
-    is the number of factors or parts of a key."""
+def _bounded_product(a, b, size=len):
+    """a * b, refused before any arithmetic past MUL_MAX_WORK; size(key)
+    is a key's work in each of its pairs beyond the pair's own 30."""
     na, nb = len(a.terms), len(b.terms)
-    work = 30 * na * nb + nb * sum(map(parts, a.terms)) + na * sum(map(parts, b.terms))
+    work = 30 * na * nb + nb * sum(map(size, a.terms)) + na * sum(map(size, b.terms))
     if work > MUL_MAX_WORK:
         raise DomainError("the product takes more than %d units of work (%d term pairs)"
                           % (MUL_MAX_WORK, na * nb))
@@ -168,16 +161,15 @@ def _run_mul(args, ctx):
     if kind != _operand_kind(args.b):
         raise DomainError("cannot multiply operands of different kinds")
     if kind == "k0":
-        return _bounded_product(parse_k0sigma(args.a), parse_k0sigma(args.b),
-                                lambda p: len(p.parts))
+        return _bounded_product(parse_k0sigma(args.a), parse_k0sigma(args.b))
     if kind == "kn":
         (ka, ea), (kb, eb) = parse_kn(args.a), parse_kn(args.b)
         if ka != kb:
             raise DomainError("cannot multiply [N..] and [L..] classes")
-        if ka == "L":
-            _printable_g0n_product(ea, eb)
-            return ea * eb
-        return _bounded_product(ea, eb, lambda n: 0)
+        if ka == "N":
+            return _bounded_product(ea, eb, lambda n: 0)
+        _printable_g0n_product(ea, eb)
+        return _bounded_product(ea, eb, lambda n: n // 8)
     return _bounded_product(_bounded(parse_diffpoly(args.a)), _bounded(parse_diffpoly(args.b)))
 
 

@@ -67,8 +67,8 @@ def _row(m: tuple) -> tuple:
 # orders near 3,000), and the 4,096 rows of _row_cache hold at most about
 # 15 MB.  A verification suite derives a few hundred distinct monomials of
 # at most 12 factors hundreds of thousands of times, so its working set
-# fits many times over.  The outermost bracket_memo() clears the cache on
-# exit, so rows live for one check of a sweep, like the memo's f sides.
+# fits many times over.  Rows are kept for the life of the process: the
+# factor bound and the row count are what bound the cache's bytes.
 ROW_CACHE_FACTORS = 16
 _row_cache = lru_cache(maxsize=4096)(_row)
 
@@ -120,11 +120,6 @@ class DiffPoly(Sparse):
     @classmethod
     def monomial(cls, orders, coeff: int = 1) -> "DiffPoly":
         return cls({mono(orders): int(coeff)})
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({(): other} if other else {})
-        return super().__eq__(other)
 
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:

@@ -111,7 +111,13 @@ def nabla(e: K0SigmaElem) -> K0SigmaElem:
     return _linear(e, _nabla_basis)
 
 
-def lambda_bracket_k0(a: K0SigmaElem, b: K0SigmaElem, ctx: AlgebraCtx) -> dict[int, K0SigmaElem]:
+class K0LambdaPoly(Sparse):
+    """Finite map from lambda exponent to K0SigmaElem coefficient."""
+
+    __slots__ = ()
+
+
+def lambda_bracket_k0(a: K0SigmaElem, b: K0SigmaElem, ctx: AlgebraCtx) -> K0LambdaPoly:
     """The bracket transported through phi_sigma, coefficient by coefficient."""
     br = bracket_master(phi_sigma(a), phi_sigma(b), ctx)
-    return {k: phi_sigma_inv(p) for k, p in br.terms.items()}
+    return K0LambdaPoly._nonzero({k: phi_sigma_inv(p) for k, p in br.terms.items()})

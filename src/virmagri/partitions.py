@@ -44,12 +44,6 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

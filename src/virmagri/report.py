@@ -78,10 +78,9 @@ class CheckReport:
                 else "PASS %s (%d cases)" % (name, cases)
                 for name, (cases, failed) in self._tallies.items()]
 
-    def to_jsonable(self, include_passes: bool = False) -> dict:
-        records = self.records if include_passes else self.failures()
+    def to_jsonable(self) -> dict:
         return {
             "ok": self.ok,
             "identities": self.identities(),
-            "records": [asdict(r) for r in records],
+            "records": [asdict(r) for r in self.failures()],
         }

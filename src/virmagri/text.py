@@ -35,10 +35,9 @@ from itertools import groupby
 from .brackets import LambdaPoly
 from .diffpoly import DiffPoly, mono
 from .errors import DomainError, ParseError
-from .k0sigma import K0SigmaElem
+from .k0sigma import K0LambdaPoly, K0SigmaElem
 from .nilcoxeter import G0NElem, K0NElem, WeylElem, XPoly
 from .partitions import Partition
-from .sparse import Sparse
 
 # A monomial is stored as a tuple with one entry per factor, so the ten
 # characters "L^99999999" would ask for 10^8 entries.  The parser refuses a
@@ -379,13 +378,13 @@ def format_weyl(w: WeylElem) -> str:
 
 # --------------------------------------------------- transported bracket
 
-def parse_k0lambda(text: str) -> dict[int, K0SigmaElem]:
+def parse_k0lambda(text: str) -> K0LambdaPoly:
     """Lambda-polynomial text with class-combination coefficients."""
-    return Sparse.collect(_parse(text, _lambda_term(_partition_term, K0SigmaElem))).terms
+    return K0LambdaPoly.collect(_parse(text, _lambda_term(_partition_term, K0SigmaElem)))
 
 
-def format_k0lambda(coeffs: dict[int, K0SigmaElem]) -> str:
-    return _format_lambda_terms({k: v for k, v in coeffs.items() if v}, format_k0sigma)
+def format_k0lambda(P: K0LambdaPoly) -> str:
+    return _format_lambda_terms(P.terms, format_k0sigma)
 
 
 # -------------------------------------------------------------- any value
@@ -404,14 +403,14 @@ _k0sigma_json = _json_terms(lambda p: {"partition": list(p.parts)})
 _kn_json = _json_terms(lambda n: {"n": n})
 
 # Every printed type: its text form, its JSON type name and its JSON terms
-# (None for a bare "value").  A dict is the transported bracket of
-# lambda_bracket_k0.
+# (None for a bare "value").
 _TYPES = {
     int: (str, "int", None),
     DiffPoly: (format_diffpoly, "diffpoly", _diffpoly_json),
     LambdaPoly: (format_lambdapoly, "lambdapoly", lambda P: _lambda_json(P.terms, _diffpoly_json)),
     K0SigmaElem: (format_k0sigma, "k0sigma", _k0sigma_json),
-    dict: (format_k0lambda, "lambdapoly-k0", lambda d: _lambda_json(d, _k0sigma_json)),
+    K0LambdaPoly: (format_k0lambda, "lambdapoly-k0",
+                   lambda P: _lambda_json(P.terms, _k0sigma_json)),
     K0NElem: (format_kn, "k0n", _kn_json),
     G0NElem: (format_kn, "g0n", _kn_json),
     XPoly: (format_xpoly, "xpoly", _json_terms(lambda n: {"pow": n})),

@@ -521,7 +521,7 @@ def _check_k0_bracket_transport(bounds: Bounds, ctx: AlgebraCtx) -> Cases:
             ea, eb = K0SigmaElem.basis(a), K0SigmaElem.basis(b)
             got = lambda_bracket_k0(ea, eb, ctx)
             yield ("k0-bracket-transport", "a=%s, b=%s" % (a, b),
-                   LambdaPoly({k: phi_sigma(v) for k, v in got.items()}),
+                   LambdaPoly({k: phi_sigma(v) for k, v in got.terms.items()}),
                    bracket_master(phi_sigma(ea), phi_sigma(eb), ctx))
     small = partitions_upto(min(4, bounds.n(4)))
     for a in small:

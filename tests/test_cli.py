@@ -369,6 +369,7 @@ mul [2] L
 mul [N1] [L1]
 mul [N1] [1]
 mul '[L1] + [L2]' '[L1] - [L2]'
+mul '[L1] - [L1]' [L2]
 der 'd1L^2 L'
 der '3 dxL'
 pjind [5,2,1] 4
@@ -571,6 +572,9 @@ PINNED_OUTPUTS = {
         "9c917dd261febb435655378803cb636d4208c368c0b8d92c696065d9ec8e0a5f",
     "mul '[L1] + [L2]' '[L1] - [L2]' --format json":
         "a9f03dcfa4ee3056859dbcb9bbc799f51b3da6ce4e7959ddb731d866edd39214",
+    "mul '[L1] - [L1]' '[L2]'": "c20c606b7cf2283c7babbadd203a9105202b7934867a946ea1cd86b1f22fabba",
+    "mul '[L1] - [L1]' '[L2]' --format json":
+        "6871359419edf058a50abeefe3406168acbfe5f2690ef8a20cd83ed0274ae4a8",
     "nabla '[3,1] - [2,2]'": "1b2e92b5a5208f121c2e8900135d9118b58021164acd0958219cc5c33e226979",
     "nabla '[3,1] - [2,2]' --format json":
         "05af1e93aac5ec2b034d9df0971376cd6503ced7186502ec345d06388c458d2f",

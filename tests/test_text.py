@@ -10,6 +10,7 @@ from virmagri import (
     DiffPoly,
     G0NElem,
     IndResExpr,
+    K0LambdaPoly,
     K0NElem,
     K0SigmaElem,
     LambdaPoly,
@@ -184,23 +185,22 @@ def test_weyl_round_trip(terms):
 
 
 def test_k0lambda_text():
-    coeffs = {0: K0SigmaElem.basis((2,)), 1: 2 * K0SigmaElem.basis((1,)),
-              3: K0SigmaElem.unit()}
-    text = format_k0lambda(coeffs)
+    P = K0LambdaPoly({0: K0SigmaElem.basis((2,)), 1: 2 * K0SigmaElem.basis((1,)),
+                      3: K0SigmaElem.unit()})
+    text = format_k0lambda(P)
     assert text == "([2]) + (2*[1])*lam + ([])*lam^3"
-    back = parse_k0lambda(text)
-    assert back == coeffs
-    assert format_k0lambda({}) == "0"
-    assert parse_k0lambda("0") == {}
-    assert parse_k0lambda("(0)") == {}
-    assert parse_k0lambda("([1]) + (0)*lam^2") == {0: K0SigmaElem.basis((1,))}
+    assert parse_k0lambda(text) == P
+    assert format_k0lambda(K0LambdaPoly()) == "0"
+    assert parse_k0lambda("0") == K0LambdaPoly()
+    assert parse_k0lambda("(0)") == K0LambdaPoly()
+    assert parse_k0lambda("([1]) + (0)*lam^2") == K0LambdaPoly({0: K0SigmaElem.basis((1,))})
 
 
 @given(st.dictionaries(st.integers(0, 6),
                        st.dictionaries(partition_st(6), st.integers(-9, 9), max_size=3)
-                       .map(K0SigmaElem), max_size=4))
-def test_k0lambda_round_trip(coeffs):
-    assert parse_k0lambda(format_k0lambda(coeffs)) == {k: v for k, v in coeffs.items() if v}
+                       .map(K0SigmaElem), max_size=4).map(K0LambdaPoly))
+def test_k0lambda_round_trip(P):
+    assert parse_k0lambda(format_k0lambda(P)) == P
 
 
 # (parser, text, character position of the first offending token)
@@ -253,7 +253,7 @@ def _printed_values():
         (K0SigmaElem({Partition((3, 1)): 2, Partition(()): -1}), "k0sigma", parse_k0sigma),
         (K0SigmaElem(), "k0sigma", parse_k0sigma),
         (k0, "lambdapoly-k0", parse_k0lambda),
-        ({}, "lambdapoly-k0", parse_k0lambda),
+        (K0LambdaPoly(), "lambdapoly-k0", parse_k0lambda),
         (K0NElem({3: 2, 0: -1}), "k0n", kn),
         (K0NElem(), "k0n", kn),
         (G0NElem({4: 1, 1: -5}), "g0n", kn),
@@ -270,8 +270,7 @@ def _printed_values():
 def test_value_writer_covers_every_printed_type():
     for v, name, parse in _printed_values():
         text = format_value(v)
-        if not isinstance(v, dict):  # the k0 bracket is a plain dict
-            assert repr(v) == str(v) == text
+        assert repr(v) == str(v) == text
         assert to_jsonable(v)["type"] == name
         back = parse(text)
         if type(v) is G0NElem and not v:
@@ -284,7 +283,7 @@ def test_value_writer_covers_every_printed_type():
 def test_value_writer_json_terms():
     assert to_jsonable(768) == {"type": "int", "value": 768}
     assert to_jsonable(K0NElem())["terms"] == []
-    assert to_jsonable({})["terms"] == []
+    assert to_jsonable(K0LambdaPoly())["terms"] == []
     assert to_jsonable(WeylElem({(6, 2): 1, (0, 0): -2}))["terms"] == [
         {"x": 6, "d": 2, "c": 1}, {"x": 0, "d": 0, "c": -2}]
     assert to_jsonable(K0SigmaElem({Partition((3, 1)): 2}))["terms"] == [
