@@ -107,11 +107,12 @@ SYT_MAX_BOXES = 2500
 # (N/K)^K for K <= k = min(n, m) <= N/2; K = min(k, 4 * limit) keeps the
 # float finite and, as N/K >= 2, still clears the limit when k does.  The
 # rule acts before any arithmetic: [L1000000] squared took 37 s to reach
-# exit 3 from str().
+# exit 3 from str().  With the limit off (0) it holds at Python's default
+# limit, as the work model prices a pair by its index, not its digits.
 def _printable_g0n_product(ea, eb) -> None:
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
-    if not (limit and ea and eb):
+    if not (ea and eb):
         return
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     n, m = max(ea.terms), max(eb.terms)
     k = min(n, m, 4 * limit)
     if k and k * (math.log10(n + m) - math.log10(k)) > limit + 1:

@@ -9,25 +9,25 @@ Coefficients are Python ints; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .sparse import Sparse
 
 
-@dataclass(frozen=True)
-class AlgebraCtx:
+class AlgebraCtx(namedtuple("AlgebraCtx", "central_charge")):
     """Session configuration: the integer central charge of the bracket.
 
     The charge must be a genuine int; integer coefficients everywhere
     depend on it.
     """
 
-    central_charge: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.central_charge, int) or isinstance(self.central_charge, bool):
-            raise TypeError("central charge must be an integer, got %r" % (self.central_charge,))
+    def __new__(cls, central_charge: int = 0):
+        if not isinstance(central_charge, int) or isinstance(central_charge, bool):
+            raise TypeError("central charge must be an integer, got %r" % (central_charge,))
+        return super().__new__(cls, central_charge)
 
 
 def mono(orders) -> tuple[int, ...]:

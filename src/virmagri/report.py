@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
-
-@dataclass
-class CheckRecord:
-    identity: str
-    case: str
-    ok: bool
-    lhs: str = ""
-    rhs: str = ""
+CheckRecord = namedtuple("CheckRecord", "identity case ok lhs rhs", defaults=("", ""))
 
 
 class CheckReport:
@@ -82,5 +75,5 @@ class CheckReport:
         return {
             "ok": self.ok,
             "identities": self.identities(),
-            "records": [asdict(r) for r in self.failures()],
+            "records": [r._asdict() for r in self.failures()],
         }

@@ -14,17 +14,17 @@ generator to its end inside the check's own bracket_memo(), which holds
 left-operand f sides only, free of the charge: bracket_master evaluates
 in two stages, the f side and then one product pass against the g side.
 A sweep that meets one left operand many times (Jacobi, Leibniz, skew)
-builds its f side once; a bracket met again is computed again from it.  The memo lives for one check, never
-for a whole suite.  The oracles (bracket_recursive, the test-suite
-models) are not in it; bracket_recursive keeps its own memo of monomial
-pairs for one call only.
+builds its f side once; a bracket met again is computed again from it.
+The memo lives for one check, never for a whole suite.  The oracles
+(bracket_recursive, the test-suite models) are not in it;
+bracket_recursive keeps its own memo of monomial pairs for one call only.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import wraps
 from math import comb, factorial
 
@@ -73,13 +73,10 @@ from .zhu import q_map, zhu_h, zhu_poisson_bracket
 _SEED = 20260808
 
 
-@dataclass
-class Bounds:
+class Bounds(namedtuple("Bounds", "max_n max_j max_deg", defaults=(None, None, None))):
     """Optional overrides for the default sweep sizes."""
 
-    max_n: int | None = None
-    max_j: int | None = None
-    max_deg: int | None = None
+    __slots__ = ()
 
     def n(self, default: int) -> int:
         return default if self.max_n is None else self.max_n

@@ -198,6 +198,43 @@ def test_class_products_too_long_to_print_are_refused_fast(capsys):
         assert len(out.split("*")[0]) == digits
 
 
+def test_class_products_too_long_to_print_are_refused_with_the_limit_off(capsys):
+    # PYTHONINTMAXSTRDIGITS=0: nothing stops C(2000000, 1000000) in str(),
+    # and the work model prices [L1000000] squared at 0.03 s; it ran 37 s.
+    def classes(k):
+        return " + ".join("[L%d]" % i for i in range(1, k + 1))
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        start = time.monotonic()
+        code, out, err = run(capsys, "mul", "[L1000000]", "[L1000000]")
+        assert time.monotonic() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error:") and "Traceback" not in err
+        for setting in (0, limit):
+            sys.set_int_max_str_digits(setting)
+            code, out, err = run(capsys, "mul", "[L7000]", "[L7000]")
+            assert (code, err) == (0, "") and len(out.split("*")[0]) == 4213
+            code, out, err = run(capsys, "mul", classes(299), classes(299))
+            assert (code, err) == (0, "") and out.endswith(" + 2*[L2]")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses costs every process about 7 ms and 1 MB through inspect,
+    # ast, dis and tokenize; site may preload modules, so compare with them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; before = set(sys.modules); import virmagri.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    loaded = set(proc.stdout.split())
+    assert "virmagri.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_class_products_past_the_work_limit_are_refused_fast(capsys, monkeypatch):
     # The square of [L1] + ... + [L999] has small enough constants but ran
     # 44 s: the work grows as the pairs times their digits.  The work rule

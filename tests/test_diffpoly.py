@@ -131,6 +131,21 @@ def test_charge_must_be_an_integer():
         AlgebraCtx(1.5)
     with pytest.raises(TypeError):
         AlgebraCtx("3")
+    with pytest.raises(TypeError):
+        AlgebraCtx(True)
+
+
+def test_charge_context_is_an_immutable_value():
+    from virmagri import AlgebraCtx
+
+    ctx = AlgebraCtx(central_charge=1)
+    assert repr(ctx) == "AlgebraCtx(central_charge=1)"
+    assert repr(AlgebraCtx()) == "AlgebraCtx(central_charge=0)"
+    assert ctx == AlgebraCtx(1) and ctx != AlgebraCtx(-2) and AlgebraCtx() == AlgebraCtx(0)
+    assert hash(ctx) == hash(AlgebraCtx(1)) and len({ctx, AlgebraCtx(1), AlgebraCtx(0)}) == 2
+    with pytest.raises(AttributeError):
+        ctx.central_charge = 2
+    assert ctx.central_charge == 1
 
 
 def test_pow_and_scalars():

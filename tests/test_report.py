@@ -1,8 +1,6 @@
 """CheckReport against a plain list of CheckRecords, and the record
 objects a sweep builds."""
 
-from dataclasses import asdict
-
 from hypothesis import given, settings, strategies as st
 
 from virmagri import AlgebraCtx, report
@@ -45,7 +43,7 @@ class _ListReport:
 
     def to_jsonable(self):
         return {"ok": not self.failures(), "identities": self.identities(),
-                "records": [asdict(r) for r in self.failures()]}
+                "records": [r._asdict() for r in self.failures()]}
 
 
 @settings(derandomize=True)
@@ -80,3 +78,22 @@ def test_a_passing_sweep_builds_no_record_objects(monkeypatch):
         assert cases and len(rep.records) == cases == len(made)
         made.clear()
 
+
+
+def test_check_record_fields_defaults_and_repr():
+    r = CheckRecord("i", "c", True)
+    assert (r.identity, r.case, r.ok, r.lhs, r.rhs) == ("i", "c", True, "", "")
+    assert repr(r) == "CheckRecord(identity='i', case='c', ok=True, lhs='', rhs='')"
+    assert CheckRecord("i", "c", False, "a", "b") == CheckRecord(
+        identity="i", case="c", ok=False, lhs="a", rhs="b") != r
+
+
+def test_json_records_are_plain_dicts_in_field_order():
+    rep = CheckReport()
+    rep.record("skew", "a=L", True, "x", "x")
+    rep.record("jacobi", "a=L, b=d1L", False, 3, "d1L")
+    records = rep.to_jsonable()["records"]
+    assert records == [{"identity": "jacobi", "case": "a=L, b=d1L", "ok": False,
+                        "lhs": "3", "rhs": "d1L"}]
+    assert type(records[0]) is dict
+    assert list(records[0]) == ["identity", "case", "ok", "lhs", "rhs"]

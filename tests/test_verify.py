@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import json
 import re
-from dataclasses import asdict
 
 import pytest
 
@@ -51,6 +50,14 @@ def test_bounds_defaults_and_overrides():
     assert (b.n(10), b.j(5), b.deg(7)) == (10, 5, 7)
     b = Bounds(max_n=3, max_j=1, max_deg=2)
     assert (b.n(10), b.j(5), b.deg(7)) == (3, 1, 2)
+
+
+def test_bounds_is_a_value():
+    assert (Bounds().max_n, Bounds().max_j, Bounds().max_deg) == (None, None, None)
+    assert repr(Bounds()) == "Bounds(max_n=None, max_j=None, max_deg=None)"
+    assert repr(Bounds(max_deg=2, max_n=3)) == "Bounds(max_n=3, max_j=None, max_deg=2)"
+    assert Bounds(3, 1, 2) == Bounds(max_n=3, max_j=1, max_deg=2) != Bounds(max_n=3)
+    assert Bounds() == Bounds(None, None, None)
 
 
 def test_every_check_caps_exactly_the_bounds_it_reads():
@@ -130,7 +137,7 @@ def test_pjind_failure_shows_the_column_composition_sides(monkeypatch):
 def test_sweep_records_are_pinned(charge):
     rep = run_suite("all", SMALL, AlgebraCtx(charge))
     blob = json.dumps({"ok": rep.ok, "identities": rep.identities(),
-                       "records": [asdict(r) for r in rep.records]}, sort_keys=True)
+                       "records": [r._asdict() for r in rep.records]}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_RECORDS[charge]
 
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 from hypothesis import given, settings
 
@@ -92,7 +91,7 @@ def test_diagram_sweep_passes_at_both_charges():
 def test_diagram_report_is_json_serializable():
     rep = CHECKS["zhu-diagrams"](Bounds(max_j=2, max_n=4), C0)
     assert json.loads(json.dumps(rep.to_jsonable()))["ok"] is True
-    records = json.loads(json.dumps([asdict(r) for r in rep.records]))
+    records = json.loads(json.dumps([r._asdict() for r in rep.records]))
     assert len(records) == len(rep.records) > 0
     assert all({"identity", "case", "ok", "lhs", "rhs"} <= set(r) for r in records)
 
