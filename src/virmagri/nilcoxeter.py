@@ -140,7 +140,7 @@ class WeylElem(Sparse):
                              for n, cn in p.terms.items() if b <= n)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]), reverse=True)
 
 
 class IndResExpr(Sparse):

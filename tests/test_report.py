@@ -79,7 +79,6 @@ def test_a_passing_sweep_builds_no_record_objects(monkeypatch):
         made.clear()
 
 
-
 def test_check_record_fields_defaults_and_repr():
     r = CheckRecord("i", "c", True)
     assert (r.identity, r.case, r.ok, r.lhs, r.rhs) == ("i", "c", True, "", "")
