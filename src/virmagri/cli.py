@@ -16,7 +16,6 @@ summary and the counterexamples or the JSON records for a CheckReport.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -34,7 +33,7 @@ from .k0sigma import (
     pj_ind,
     res as res_sigma,
 )
-from .nilcoxeter import ind_g0n, ind_k0n, phi_n, psi2, res_g0n, res_k0n
+from .nilcoxeter import K0NElem, ind_g0n, ind_k0n, phi_n, psi2, res_g0n, res_k0n
 from .partitions import standard_tableaux_count
 from .report import CheckReport
 from .text import (
@@ -63,12 +62,9 @@ def _operand_kind(text: str) -> str:
 
 # An operand of derivative order n puts the binomials C(n, k) into the
 # bracket through (lambda+d)^n.  Up to this order each has at most 902
-# digits, well inside Python's 4,300-digit str() limit.  The bracket of
-# L with d3000L takes about 0.8 s as one CLI call on a 2-core x86 host,
-# and the time grows faster than the square of the order: in-process,
-# d3000L takes 0.6 s and d7000L 5.9 s.  Every other verb that reads a
-# polynomial operand takes the same limit, so no verb accepts an order
-# the bracket would refuse.
+# digits, well inside Python's 4,300-digit str() limit.  Every other verb
+# that reads a polynomial operand takes the same limit, so no verb accepts
+# an order the bracket would refuse.
 MAX_ORDER = 3000
 
 
@@ -164,10 +160,10 @@ def _run_mul(args, ctx):
     if kind == "k0":
         return _bounded_product(parse_k0sigma(args.a), parse_k0sigma(args.b))
     if kind == "kn":
-        (ka, ea), (kb, eb) = parse_kn(args.a), parse_kn(args.b)
-        if ka != kb:
+        ea, eb = parse_kn(args.a), parse_kn(args.b)
+        if type(ea) is not type(eb):
             raise DomainError("cannot multiply [N..] and [L..] classes")
-        if ka == "N":
+        if type(ea) is K0NElem:
             return _bounded_product(ea, eb, lambda n: 0)
         _printable_g0n_product(ea, eb)
         return _bounded_product(ea, eb, lambda n: n // 8)
@@ -179,8 +175,8 @@ def _branching(on_k0n, on_g0n, on_sigma):
 
     def run(args, ctx):
         if _operand_kind(args.e) == "kn":
-            kind, e = parse_kn(args.e)
-            return (on_k0n if kind == "N" else on_g0n)(e)
+            e = parse_kn(args.e)
+            return (on_k0n if type(e) is K0NElem else on_g0n)(e)
         return on_sigma(parse_k0sigma(args.e))
 
     return run
@@ -197,8 +193,8 @@ def _run_quantize(args, ctx):
 def _run_phi(args, ctx):
     kind = _operand_kind(args.a)
     if kind == "kn":
-        knd, e = parse_kn(args.a)
-        if knd != "N":
+        e = parse_kn(args.a)
+        if type(e) is not K0NElem:
             raise DomainError("the polynomial realization is defined on [N..] classes")
         return phi_n(e)
     if kind == "k0":
@@ -263,6 +259,8 @@ def _render(value, args):
     report = isinstance(value, CheckReport)
     code = int(not value.ok) if report else 0
     if args.format == "json":
+        import json  # here, not at the top: a text call is about 2 ms faster without it
+
         payload = {"type": "report", **value.to_jsonable()} if report else to_jsonable(value)
         return json.dumps({"verb": args.verb, "charge": args.charge, "result": payload}), code
     if not report:

@@ -146,7 +146,3 @@ class DiffPoly(Sparse):
 
     def max_degree(self) -> int:
         return max((mono_degree(m) for m in self.terms), default=0)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in display order: higher degree first, then lexicographic."""
-        return sorted(self.terms.items(), key=lambda kv: (mono_degree(kv[0]), kv[0]), reverse=True)

@@ -31,9 +31,6 @@ class K0SigmaElem(Sparse):
         """The class of the empty partition, unit of the product."""
         return cls.basis(())
 
-    def sorted_terms(self) -> list[tuple[Partition, int]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].size, kv[0].parts), reverse=True)
-
 
 def _linear(e: K0SigmaElem, on_basis) -> K0SigmaElem:
     """Extend a basis-level map (Partition -> K0SigmaElem) linearly."""

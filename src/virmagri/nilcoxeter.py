@@ -23,7 +23,6 @@ class _IntBasisElem(Sparse):
     """Integer combination over a basis indexed by non-negative integers."""
 
     __slots__ = ()
-    label = "?"
 
     @classmethod
     def basis(cls, n: int):
@@ -31,22 +30,16 @@ class _IntBasisElem(Sparse):
             raise ValueError("basis index must be non-negative, got %d" % n)
         return cls({n: 1})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), reverse=True)
-
 
 class K0NElem(_IntBasisElem):
     """Combination of projective classes [N_n]; [N_0] is the product unit."""
 
-    label = "N"
     key_mul = staticmethod(add)
 
 
 class G0NElem(_IntBasisElem):
     """Combination of simple classes [L_n]; products pick up binomial
     structure constants, keeping everything integral."""
-
-    label = "L"
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -96,9 +89,6 @@ class XPoly(Sparse):
     def derivative(self) -> "XPoly":
         return XPoly({n - 1: c * n for n, c in self.terms.items() if n > 0})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), reverse=True)
-
 
 def phi_n(e: K0NElem) -> XPoly:
     """The polynomial realization [N_n] -> x^n."""
@@ -138,9 +128,6 @@ class WeylElem(Sparse):
         """Act on a polynomial: x multiplies, D differentiates."""
         return XPoly.collect((n - b + a, c * cn * perm(n, b)) for (a, b), c in self.terms.items()
                              for n, cn in p.terms.items() if b <= n)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]), reverse=True)
 
 
 class IndResExpr(Sparse):

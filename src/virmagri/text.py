@@ -18,13 +18,13 @@ coefficient is itself a differential-polynomial or class-combination sum
 in parentheses.  A bare 0 is the zero value in every form, inside the
 parentheses too.
 
-Formatters emit canonical order (monomial factors in weakly decreasing
-derivative order, lambda powers ascending, everything else by degree);
-parsers accept any term order and report the character position of the
-first offending token.
-
 format_value(v) and to_jsonable(v) give the text form and the JSON payload
-of any printed value, from one table of the printed types.
+of any printed value from one table, _TABLE, whose row for each type sets
+its display order, key text and JSON fields; format_diffpoly, format_kn
+and the other format_* names are format_value.  The order is canonical
+(monomial factors in weakly decreasing derivative order, lambda powers
+ascending, everything else by degree); parsers accept any term order and
+report the character position of the first offending token.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import sys
 from itertools import groupby
 
 from .brackets import LambdaPoly
-from .diffpoly import DiffPoly, mono
+from .diffpoly import DiffPoly, mono, mono_degree
 from .errors import DomainError, ParseError
 from .k0sigma import K0LambdaPoly, K0SigmaElem
 from .nilcoxeter import G0NElem, K0NElem, WeylElem, XPoly
@@ -169,12 +169,12 @@ def _power(var: str, n: int) -> str:
     return "" if n == 0 else var if n == 1 else "%s^%d" % (var, n)
 
 
-def _format_sum(sorted_terms, key_text, sep: str) -> str:
-    """Signed-sum text of (key, coefficient) pairs.  key_text(key) is ""
-    for the unit key, whose term is its bare coefficient; sep goes between
-    a coefficient other than +-1 and its key."""
+def _format_sum(pairs, key_text, sep: str) -> str:
+    """Signed-sum text of (key, coefficient) pairs, in their order.
+    key_text(key) is "" for the unit key, whose term is its bare
+    coefficient; sep goes between a coefficient other than +-1 and its key."""
     pieces = []
-    for key, c in sorted_terms:
+    for key, c in pairs:
         text = key_text(key)
         pieces.append(" - " if c < 0 else " + ")
         if not text:
@@ -224,10 +224,6 @@ def _format_mono(m) -> str:
                     for k, run in groupby(m))
 
 
-def format_diffpoly(f: DiffPoly) -> str:
-    return _format_sum(f.sorted_terms(), _format_mono, " ")
-
-
 # ------------------------------------------------------------- lambdapoly
 
 def _lambda_term(take_term, cls):
@@ -250,17 +246,6 @@ def _lambda_term(take_term, cls):
 
 def parse_lambdapoly(text: str) -> LambdaPoly:
     return LambdaPoly.collect(_parse(text, _lambda_term(_diffpoly_term, DiffPoly)))
-
-
-def _format_lambda_terms(coeffs: dict, fmt) -> str:
-    if not coeffs:
-        return "0"
-    return " + ".join("(%s)%s" % (fmt(coeffs[k]), "*" + _power("lam", k) if k else "")
-                      for k in sorted(coeffs))
-
-
-def format_lambdapoly(P: LambdaPoly) -> str:
-    return _format_lambda_terms(P.terms, format_diffpoly)
 
 
 # -------------------------------------------------------------- partition
@@ -302,16 +287,10 @@ def parse_k0sigma(text: str) -> K0SigmaElem:
     return K0SigmaElem.collect(_parse(text, _partition_term))
 
 
-def format_k0sigma(e: K0SigmaElem) -> str:
-    return _format_sum(e.sorted_terms(), str, "*")
-
-
 def parse_kn(text: str):
-    """Parse a nil-Coxeter class combination.
-
-    Returns ('N', K0NElem) or ('L', G0NElem) depending on the literals;
-    the two kinds may not be mixed.  Bare '0' parses as the zero
-    projective-class combination.
+    """Parse a nil-Coxeter class combination: a K0NElem of [Nn] literals
+    or a G0NElem of [Ln] literals, the two kinds not mixed.  Bare '0'
+    parses as the zero K0NElem.
     """
     kind = None
 
@@ -334,12 +313,7 @@ def parse_kn(text: str):
         return n, c
 
     pairs = _parse(text, take_term)
-    kind = kind or "N"
-    return kind, (K0NElem if kind == "N" else G0NElem).collect(pairs)
-
-
-def format_kn(e) -> str:
-    return _format_sum(e.sorted_terms(), lambda n: "[%s%d]" % (e.label, n), "*")
+    return (G0NElem if kind == "L" else K0NElem).collect(pairs)
 
 
 # ------------------------------------------------------------- x / Weyl
@@ -351,10 +325,6 @@ def _xpoly_term(s: _Scanner):
 
 def parse_xpoly(text: str) -> XPoly:
     return XPoly.collect(_parse(text, _xpoly_term))
-
-
-def format_xpoly(p: XPoly) -> str:
-    return _format_sum(p.sorted_terms(), lambda n: _power("x", n), " ")
 
 
 def _weyl_term(s: _Scanner):
@@ -372,10 +342,6 @@ def _format_weyl_key(key) -> str:
     return " ".join(filter(None, (_power("x", key[0]), _power("D", key[1]))))
 
 
-def format_weyl(w: WeylElem) -> str:
-    return _format_sum(w.sorted_terms(), _format_weyl_key, " ")
-
-
 # --------------------------------------------------- transported bracket
 
 def parse_k0lambda(text: str) -> K0LambdaPoly:
@@ -383,48 +349,59 @@ def parse_k0lambda(text: str) -> K0LambdaPoly:
     return K0LambdaPoly.collect(_parse(text, _lambda_term(_partition_term, K0SigmaElem)))
 
 
-def format_k0lambda(P: K0LambdaPoly) -> str:
-    return _format_lambda_terms(P.terms, format_k0sigma)
-
-
 # -------------------------------------------------------------- any value
 
-def _json_terms(key_json):
-    """JSON terms of a signed sum: key_json(key)'s fields, then "c"."""
-    return lambda v: [{**key_json(k), "c": c} for k, c in v.sorted_terms()]
-
-
-def _lambda_json(coeffs: dict, coeff_json) -> list:
-    return [{"lam": k, "coeff": coeff_json(coeffs[k])} for k in sorted(coeffs)]
-
-
-_diffpoly_json = _json_terms(lambda m: {"mono": list(m)})
-_k0sigma_json = _json_terms(lambda p: {"partition": list(p.parts)})
-_kn_json = _json_terms(lambda n: {"n": n})
-
-# Every printed type: its text form, its JSON type name and its JSON terms
-# (None for a bare "value").
-_TYPES = {
-    int: (str, "int", None),
-    DiffPoly: (format_diffpoly, "diffpoly", _diffpoly_json),
-    LambdaPoly: (format_lambdapoly, "lambdapoly", lambda P: _lambda_json(P.terms, _diffpoly_json)),
-    K0SigmaElem: (format_k0sigma, "k0sigma", _k0sigma_json),
-    K0LambdaPoly: (format_k0lambda, "lambdapoly-k0",
-                   lambda P: _lambda_json(P.terms, _k0sigma_json)),
-    K0NElem: (format_kn, "k0n", _kn_json),
-    G0NElem: (format_kn, "g0n", _kn_json),
-    XPoly: (format_xpoly, "xpoly", _json_terms(lambda n: {"pow": n})),
-    WeylElem: (format_weyl, "weyl", _json_terms(lambda key: {"x": key[0], "d": key[1]})),
+# Every printed sum type, one row each: its JSON type name; the sort key of
+# a (key, coefficient) pair, the terms printed in descending order of it
+# (None sorts the pairs themselves); the text of a key ("" for the unit
+# key); the separator between a coefficient other than +-1 and its key; and
+# the JSON fields of a key.  A lambda form, a sum over ascending lambda
+# powers whose coefficients belong to another row, has its JSON type name
+# only.
+_TABLE = {
+    DiffPoly: ("diffpoly", lambda kv: (mono_degree(kv[0]), kv[0]), _format_mono, " ",
+               lambda m: {"mono": list(m)}),
+    K0SigmaElem: ("k0sigma", lambda kv: (kv[0].size, kv[0].parts), str, "*",
+                  lambda p: {"partition": list(p.parts)}),
+    K0NElem: ("k0n", None, lambda n: "[N%d]" % n, "*", lambda n: {"n": n}),
+    G0NElem: ("g0n", None, lambda n: "[L%d]" % n, "*", lambda n: {"n": n}),
+    XPoly: ("xpoly", None, lambda n: _power("x", n), " ", lambda n: {"pow": n}),
+    WeylElem: ("weyl", lambda kv: (kv[0][0] + kv[0][1], kv[0]), _format_weyl_key, " ",
+               lambda key: {"x": key[0], "d": key[1]}),
+    LambdaPoly: ("lambdapoly",),
+    K0LambdaPoly: ("lambdapoly-k0",),
 }
 
 
 def format_value(v) -> str:
     """The text form of any printed value."""
-    return _TYPES[type(v)][0](v)
+    if type(v) is int:
+        return str(v)
+    row = _TABLE[type(v)]
+    if len(row) == 1:
+        if not v.terms:
+            return "0"
+        return " + ".join("(%s)%s" % (format_value(c), "*" + _power("lam", k) if k else "")
+                          for k, c in sorted(v.terms.items()))
+    _, sort_key, key_text, sep, _ = row
+    return _format_sum(sorted(v.terms.items(), key=sort_key, reverse=True), key_text, sep)
+
+
+format_diffpoly = format_lambdapoly = format_k0sigma = format_kn = format_value
+format_xpoly = format_weyl = format_k0lambda = format_value
+
+
+def _json_terms(v) -> list:
+    row = _TABLE[type(v)]
+    if len(row) == 1:
+        return [{"lam": k, "coeff": _json_terms(c)} for k, c in sorted(v.terms.items())]
+    _, sort_key, _, _, key_json = row
+    return [{**key_json(k), "c": c} for k, c in sorted(v.terms.items(), key=sort_key, reverse=True)]
 
 
 def to_jsonable(v) -> dict:
     """The JSON payload of any printed value: {"type": name, "terms": [...]},
     or {"type": "int", "value": n} for an integer."""
-    _, name, terms = _TYPES[type(v)]
-    return {"type": name, "value": v} if terms is None else {"type": name, "terms": terms(v)}
+    if type(v) is int:
+        return {"type": "int", "value": v}
+    return {"type": _TABLE[type(v)][0], "terms": _json_terms(v)}

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 from helpers import syt_by_hooks
-from virmagri import DiffPoly, IndResExpr, WeylElem, XPoly
+from virmagri import DiffPoly, IndResExpr, K0NElem, WeylElem, XPoly
 from virmagri.cli import MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
@@ -224,7 +224,8 @@ def test_class_products_too_long_to_print_are_refused_with_the_limit_off(capsys)
 
 def test_importing_the_cli_loads_no_dataclasses():
     # dataclasses costs every process about 7 ms and 1 MB through inspect,
-    # ast, dis and tokenize; site may preload modules, so compare with them.
+    # ast, dis and tokenize, and json, which only --format json reads,
+    # about 2 ms; site may preload modules, so compare with them.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; before = set(sys.modules); import virmagri.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
@@ -232,7 +233,7 @@ def test_importing_the_cli_loads_no_dataclasses():
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     loaded = set(proc.stdout.split())
     assert "virmagri.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
 
 
 def test_class_products_past_the_work_limit_are_refused_fast(capsys, monkeypatch):
@@ -370,6 +371,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL broken" in out and "counterexample" in out
 
 
+def test_main_reraises_a_value_error_other_than_the_digit_limit(capsys, monkeypatch):
+    # Only str()'s digit-limit ValueError is a domain error (exit 3); any
+    # other ValueError is a fault of the program and must not read as one.
+    import pytest
+    import virmagri.cli as cli_mod
+
+    def boom(args, ctx):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli_mod._VERBS, "der", (boom, "a", "total derivative"))
+    with pytest.raises(ValueError, match="boom"):
+        main(["der", "L"])
+    assert capsys.readouterr().err == ""
+
+
 def test_text_output_round_trips(capsys):
     _, out, _ = run(capsys, "bracket", "d1L", "d1L", "--charge", "-2")
     assert parse_lambdapoly(out).coeff(1) == -DiffPoly.gen(2)
@@ -380,8 +396,8 @@ def test_text_output_round_trips(capsys):
     _, out, _ = run(capsys, "nabla", "[3,1]")
     assert parse_k0sigma(out) == parse_k0sigma("[4,1] + [3,2]")
     _, out, _ = run(capsys, "res", "[N7]")
-    kind, e = parse_kn(out)
-    assert kind == "N" and e.terms == {6: 7}
+    e = parse_kn(out)
+    assert type(e) is K0NElem and e.terms == {6: 7}
     _, out, _ = run(capsys, "zhu", "L^2 - L^5")
     assert parse_xpoly(out) == XPoly({2: 1, 5: -1})
     _, out, _ = run(capsys, "quantize", "d1L")

@@ -166,6 +166,17 @@ def test_ind_res_expr_algebra():
     assert IndResExpr.identity().act_k0n(K0NElem.basis(4)) == K0NElem.basis(4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: K0NElem.basis(-1),
+    lambda: G0NElem.basis(-1),
+    lambda: WeylElem.monomial(-1, 0),
+    lambda: IndResExpr.word("IX"),
+], ids=["k0n-basis", "g0n-basis", "weyl-monomial", "ind-res-word"])
+def test_negative_indices_and_unknown_letters_are_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_g0_structure_constants_are_divided_power_consistent():
     from math import comb, factorial
 
