@@ -4,7 +4,8 @@ A class combination is written as an integer combination of basis symbols
 [mu] for partitions mu.  Under phi_sigma the basis element [mu] goes to
 the monomial whose derivative orders are the parts of mu, each lowered by
 one; that identification transports the whole bracket calculus onto the
-partition side.
+partition side.  The maps ind, res, p_i_ind, pj_ind and nabla send a class
+to a list of classes, and the list's sum is its image.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ class K0SigmaElem(Sparse):
         return cls.basis(())
 
 
-def _linear(e: K0SigmaElem, on_basis) -> K0SigmaElem:
-    """Extend a basis-level map (Partition -> K0SigmaElem) linearly."""
-    return K0SigmaElem.collect((q, c * d) for p, c in e.terms.items()
-                               for q, d in on_basis(p).terms.items())
+def _linear(e: K0SigmaElem, images) -> K0SigmaElem:
+    """Extend a basis-level map linearly: images(p) lists the classes of the
+    image of [p], each class as often as it occurs."""
+    return K0SigmaElem.collect((q, c) for p, c in e.terms.items() for q in images(p))
 
 
 def phi_sigma(e: K0SigmaElem) -> DiffPoly:
@@ -51,37 +52,30 @@ def phi_sigma_inv(f: DiffPoly) -> K0SigmaElem:
 
 def ind(e: K0SigmaElem) -> K0SigmaElem:
     """Linear extension of the one-box-addition branching sum."""
-    return _linear(e, lambda p: K0SigmaElem(
-        {q: 1 for q in p.addable_results()}))
+    return _linear(e, Partition.addable_results)
 
 
 def res(e: K0SigmaElem) -> K0SigmaElem:
     """Linear extension of the one-box-removal branching sum."""
-    return _linear(e, lambda p: K0SigmaElem(
-        {q: 1 for q in p.removable_results()}))
+    return _linear(e, Partition.removable_results)
 
 
-def _p_i_basis(mu: Partition, i: int) -> K0SigmaElem:
-    conj = mu.conjugate().parts
-    l = len(conj)
-    if i > l + 1:
-        return K0SigmaElem.zero()
-    if i > 1:
-        here = conj[i - 1] if i - 1 < l else 0
-        if not conj[i - 2] > here:
-            return K0SigmaElem.zero()
-    cols = list(conj) + [0] * (i - l)
-    cols[i - 1] += 1
-    return K0SigmaElem.basis(Partition(cols).conjugate())
+def _p_i_images(mu: Partition, i: int) -> list[Partition]:
+    """The new box of column i goes to row r, below the r parts of at least
+    i boxes; the result is a diagram only if row r holds i - 1 boxes."""
+    parts = mu.parts
+    r = sum(1 for v in parts if v >= i)
+    if (parts[r] if r < len(parts) else 0) != i - 1:
+        return []
+    return [Partition(parts[:r] + (i,) + parts[r + 1:])]
 
 
 def p_i_ind(e: K0SigmaElem, i: int) -> K0SigmaElem:
-    """Column-selective induction: add one box to column i of the
-    conjugate diagram when that keeps it a diagram, otherwise kill the
-    class."""
+    """Column-selective induction: add one box to column i when that keeps
+    the diagram a diagram, otherwise kill the class."""
     if i < 1:
         raise DomainError("column index must be at least 1, got %d" % i)
-    return _linear(e, lambda p: _p_i_basis(p, i))
+    return _linear(e, lambda p: _p_i_images(p, i))
 
 
 def pj_ind(e: K0SigmaElem, j: int) -> K0SigmaElem:
@@ -92,20 +86,15 @@ def pj_ind(e: K0SigmaElem, j: int) -> K0SigmaElem:
     """
     if j < 1:
         raise DomainError("row length must be at least 1, got %d" % j)
-    return _linear(e, lambda p: K0SigmaElem.basis(p.insert_row(j)))
-
-
-def _nabla_basis(p: Partition) -> K0SigmaElem:
-    """Grow each part in turn; equal parts give the same class."""
-    parts = p.parts
-    return K0SigmaElem.collect((Partition(parts[:i] + (v + 1,) + parts[i + 1:]), 1)
-                               for i, v in enumerate(parts))
+    return _linear(e, lambda p: [p.insert_row(j)])
 
 
 def nabla(e: K0SigmaElem) -> K0SigmaElem:
-    """The derivation on class combinations: grow one part by a box,
-    weighted by the multiplicity of the part value."""
-    return _linear(e, _nabla_basis)
+    """The derivation on class combinations: grow one part by a box.  Equal
+    parts list the same class once each, which weights it by the
+    multiplicity of the part value."""
+    return _linear(e, lambda p: [Partition(p.parts[:i] + (v + 1,) + p.parts[i + 1:])
+                                 for i, v in enumerate(p.parts)])
 
 
 class K0LambdaPoly(Sparse):

@@ -184,9 +184,9 @@ def _mono_triples_total(max_total: int):
                 yield a, b, c
 
 
-def _rand_poly(rng: random.Random, max_deg: int, max_terms: int = 3) -> DiffPoly:
+def _rand_poly(rng: random.Random, max_deg: int) -> DiffPoly:
     out = DiffPoly.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         n = rng.randint(0, max_deg)
         p = rng.choice(partitions_of(n))
         c = rng.choice([i for i in range(-9, 10) if i])

@@ -501,8 +501,8 @@ def test_oracle_runs_without_the_kernel(monkeypatch):
 
 def test_kernel_derive_budget(monkeypatch):
     # One derivative chain per coefficient for all orders of g at once,
-    # each step one derive_terms call on the kernel's packed rows: about
-    # 115 calls at d = 8 and 174 at d = 10, against 339 and 624 with one
+    # each step one derive_terms call on the kernel's packed rows: 93
+    # calls at d = 8 and 146 at d = 10, against 339 and 624 with one
     # chain per order of g, and 1,571 at d = 8 when every pair of orders
     # (m, n) ran its own chains.
     for d, budget in ((8, 130), (10, 200)):

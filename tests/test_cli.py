@@ -689,3 +689,18 @@ def test_reader_closing_early_is_not_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_reader_closing_after_ten_bytes_exits_cleanly():
+    # `virmagri bracket L d1500L | head -c 10`: the result is one 517 kB
+    # line, so the write hits the closed pipe and takes the BrokenPipeError
+    # branch of main.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "virmagri.cli", "bracket", "L", "d1500L"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")

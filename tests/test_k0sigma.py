@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diffpoly_st, partition_st
+from helpers import cells, covers_by_cells, diffpoly_st, partition_st
 from virmagri import (
     AlgebraCtx,
     DiffPoly,
@@ -13,6 +13,7 @@ from virmagri import (
     lambda_bracket_k0,
     nabla,
     p_i_ind,
+    partitions_upto,
     phi_sigma,
     phi_sigma_inv,
     pj_ind,
@@ -79,6 +80,17 @@ def test_p_i_pieces_sum_to_ind():
         for i in range(1, len(p) + 3):
             total = total + p_i_ind(e, i)
         assert total == ind(e)
+
+
+def test_p_i_matches_cell_model():
+    # p_i adds the cover whose new cell sits in column i, or gives zero.
+    for p in partitions_upto(10):
+        base = cells(p)
+        column = {(cells(q) - base).pop()[1] + 1: q for q in covers_by_cells(p)}
+        first = p.parts[0] if p.parts else 0
+        for i in range(1, first + 3):
+            want = K0SigmaElem.basis(column[i]) if i in column else K0SigmaElem.zero()
+            assert p_i_ind(K0SigmaElem.basis(p), i) == want
 
 
 def test_pj_ind_known_values():

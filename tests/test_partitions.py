@@ -154,5 +154,6 @@ def test_partitions_of_counts():
 def test_ordering_and_text():
     assert str(P(5, 2, 1)) == "[5,2,1]"
     assert str(Partition()) == "[]"
+    assert repr(Partition((2, 1))) == "Partition([2, 1])"
     assert P(2, 1) < P(3)
     assert sorted([P(3), P(2, 1)]) == [P(2, 1), P(3)]
