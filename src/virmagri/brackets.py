@@ -1,42 +1,26 @@
 """The lambda-bracket engine for the rank-one energy-momentum algebra.
 
-A lambda polynomial stores, for each power of the formal variable, the
-plain polynomial coefficient; the n-th product is then n! times the
-stored coefficient, so every intermediate value stays inside integer
-arithmetic.
+A lambda polynomial stores the plain polynomial coefficient of each power
+of the formal variable; the n-th product is n! times it, so every value
+stays integral.
 
-Two independent evaluators are provided.  bracket_master expands the
-closed-form sum over generator partials of the shifted generator
-bracket in two linear stages, each a shift: the partials of f under
-lambda -> -lambda-d, Phi; the powers (lambda+d)^t Phi, the f side, free
-of the charge.  One _products pass multiplies each power by the g side
-H_t, the partials of g times derivatives of the generator bracket's
-coefficients.  bracket_recursive reduces arguments step by step through
-the product rule and skew-symmetry down to pairs of single generators,
-whose bracket (-lambda)^i (lambda+d)^j {L_lambda L} it writes out term
-by term; its leaf and its skew flip are its own code, so a fault in the
-shift loops cannot reach both sides.  They must agree everywhere; the
-verification suites compare them case by case.
+Two independent evaluators are provided.  bracket_master sums
+H_t (lambda+d)^t Phi in one _products pass, the g side H_t from the
+partials of g and the charge, the f side (lambda+d)^t Phi from f alone;
+an f side is built in the cheaper of two orders, counted before any
+arithmetic, both through the one binomial loop _shift_sums.
+bracket_recursive reduces by the product rule and skew-symmetry down to
+single generators, with its own leaf and skew flip, so a fault in the
+shift loops cannot reach both; the sweeps compare the two case by case.
 
-Both build each lambda power's coefficient as one plain {monomial: int}
-dict, adding every term into it in place, and wrap it once at the end.
-bracket_master's dicts are keyed by packed monomials private to this
-module: one int holding the count of factors dkL in its w-bit field k, so
-a product of monomials is one integer add.  w is chosen per call from
-the operands, wide enough that no field can overflow.  The partials of f
-and g are packed on entry, and the result is unpacked at the end.  The
-public LambdaPoly shift methods run the same binomial loops
-(_shift_sums, _neg_shift_sums) on tuple keys.  Every derivative step in
-the package is diffpoly.derive_terms, its one derivative loop; the
-monomial form enters through the row source it is given: DiffPoly's
-cached rows of tuple monomials, or a _Rows of packed ones.
-
-A bracket_memo() context shares one thing across bracket_master calls
-and charges: each left operand's f side with the powers of (lambda+d)
-asked of it, never a result; the packed derivative rows live for one
-f-side build.
-bracket_recursive brackets each monomial pair once per call and keeps
-nothing between calls.
+Both add the terms of each lambda power in place into one plain
+{monomial: int} dict, wrapped once.  bracket_master packs a monomial into
+an int, the count of factors dkL in its w-bit field k, so a product of
+monomials is one integer add.  The LambdaPoly shift methods run the same
+loops (_shift_sums, _neg_shift_sums) on tuple keys.  Every derivative step
+is diffpoly.derive_terms, on DiffPoly's cached rows or a _Rows of packed
+ones.  A bracket_memo() shares each left operand's f side across
+bracket_master calls and charges; counts tallies the f-side work.
 """
 
 from __future__ import annotations
@@ -75,8 +59,7 @@ class LambdaPoly(Sparse):
         return _wrap(_shift_sums(self._plain(), (m,), _derive_row)[m])
 
     def subst_neg_shift(self) -> "LambdaPoly":
-        """Substitute lambda -> -lambda - d (the derivative acting on the
-        coefficient it lands on); see _neg_shift_sums."""
+        """Substitute lambda -> -lambda - d; see _neg_shift_sums."""
         return _wrap(_neg_shift_sums(self._plain(), _derive_row))
 
     def _plain(self) -> dict:
@@ -88,17 +71,16 @@ def _check_exponent(m: int) -> None:
         raise DomainError("exponent must be non-negative, got %d" % m)
 
 
-def _shift_sums(terms: dict, ms, row_of) -> dict:
-    """{m: {power: {monomial: int}}} of (lambda + d)^m for every m in
-    ms, terms being {power: {monomial: int}} and row_of the row source
-    each derivative step passes to derive_terms.
-
-    lambda^j P goes to sum_k C(m,k) lambda^(j+m-k) d^k P, so each
-    coefficient's derivative chain runs once, up to max(ms), and each
-    d^k P is added, scaled, straight into the sum of every m >= k, with
-    C(m,k) made from C(m,k-1) when a chain first reaches k.
+def _shift_sums(terms: dict, ms, row_of, into=None, sign: int = 1) -> dict:
+    """{m: {power: {monomial: int}}} of sign * (lambda + d)^m for every m
+    in ms, added into into[m] if into is given; terms is {power: {monomial:
+    int}} and row_of the row source of each derive_terms step.  lambda^j P
+    goes to sum_k C(m,k) lambda^(j+m-k) d^k P: each coefficient's chain
+    runs once, up to max(ms), adding d^k P, scaled, into the sum of every
+    m >= k, with sign * C(m,k) made from sign * C(m,k-1) on first use.
     """
-    rows = [(m, [1], {}) for m in sorted(set(ms), reverse=True)]
+    into = {m: {} for m in ms} if into is None else into
+    rows = [(m, [sign], into[m]) for m in sorted(set(ms), reverse=True)]
     top = rows[0][0] if rows else -1
     for j, p in terms.items():
         for k in range(top + 1):
@@ -110,7 +92,7 @@ def _shift_sums(terms: dict, ms, row_of) -> dict:
                 _add_into(sums, j + m - k, p, row[k])
             if k == top or not (p := derive_terms(p, row_of)):
                 break
-    return {m: sums for m, _, sums in reversed(rows)}
+    return into
 
 
 def _neg_shift_sums(terms: dict, row_of) -> dict:
@@ -152,9 +134,8 @@ def _strip(sums: dict) -> dict:
 
 
 def _wrap(sums: dict, cls=LambdaPoly):
-    """The cls value (a lambda polynomial unless asked otherwise) of
-    {key: {monomial: int}} sums built in place: each dict is wrapped as
-    it is, its zeros deleted, not copied."""
+    """The cls value (LambdaPoly by default) of {key: {monomial: int}} sums
+    built in place: each dict is wrapped as it is, its zeros deleted."""
     return cls._nonzero({k: DiffPoly._nonzero(d) for k, d in _strip(sums).items()})
 
 
@@ -174,10 +155,9 @@ def gen_bracket(ctx: AlgebraCtx) -> LambdaPoly:
 
 
 class _Rows(dict):
-    """The derivatives of packed monomials of field width w, each built on
-    first use: self[key] is ((key, count), ...), the derivative of key as
-    derive_terms reads it.  d on the c factors dkL adds (2^w - 1) << (w*k),
-    one factor taken from field k to field k + 1, with multiplicity c."""
+    """The derivatives of packed monomials of field width w, built on first
+    use as derive_terms reads them, ((key, count), ...): d on the c factors
+    dkL adds (2^w - 1) << (w*k), moving one from field k to k + 1, c times."""
 
     __slots__ = ("w",)
 
@@ -198,18 +178,18 @@ class _Rows(dict):
 
 _memo: dict | None = None
 
+# bracket_master's f-side work since import (two adds a call): f sides built
+# in each order, kept ones extended or reused, and powers (lambda+d)^t built.
+counts = dict.fromkeys(("merged", "per-partial", "extended", "reused", "powers"), 0)
+
 
 @contextmanager
 def bracket_memo():
     """Share bracket_master's f sides (see _f_side) across calls and
     charges until the outermost context exits; a nested context shares
-    the dict of the one around it.  This is operand work, never a result:
-    a g against a kept f side costs its g side, one pass of products and
-    unpacking, and any power no earlier g asked for.  Outside a context
-    each call builds its f side afresh.
-
-    The dict grows with the distinct left operands met; a context should
-    span one verification sweep, not a whole suite.
+    the dict of the one around it.  A g against a kept f side costs its g
+    side, one product pass and any power not yet built.  The dict grows
+    with the distinct left operands: span a sweep, not a suite.
     """
     global _memo
     if _memo is not None:
@@ -223,19 +203,14 @@ def bracket_memo():
 
 
 def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
-    """Closed-form bracket of two differential polynomials by the master
-    formula.
-
-    {f_lambda g} = sum_n dg/du^(n) (lambda+d)^n {L_(lambda+d) L} Phi with
+    """{f_lambda g} = sum_n dg/du^(n) (lambda+d)^n {L_(lambda+d) L} Phi,
     Phi = sum_m (-lambda-d)^m df/du^(m).  The generator bracket's
-    coefficients d1L, 2L and c are one generator or a constant, so by
-    the Leibniz rule the sum is sum_t H_t (lambda+d)^t Phi: the g side
-    H_t = sum_n dg/du^(n) (C(n,t) + 2 C(n,t-1)) d(n-t+1)L + c dg/du^(t-3)
-    times the f side, free of the charge (see _f_side).  Monomials are
-    packed (see _pack) with w = (F + G + 1).bit_length() bits a field, F
-    and G the most factors of a monomial of f and of g: no monomial met
-    has more than F + G - 1 factors, so no field can overflow.
-    """
+    coefficients d1L, 2L and c are one generator or a constant, so by the
+    Leibniz rule it is sum_t H_t (lambda+d)^t Phi: the g side H_t =
+    sum_n dg/du^(n) (C(n,t) + 2 C(n,t-1)) d(n-t+1)L + c dg/du^(t-3) times
+    the f side (see _f_side).  Monomials are packed (see _pack) with
+    w = (F + G + 1).bit_length() bits a field, F and G the most factors of
+    a monomial of f and of g, more than any monomial met can fill."""
     w = (max(map(len, f.terms), default=0) + max(map(len, g.terms), default=0) + 1).bit_length()
     hs: dict = {}
     for n, gn in _packed_partials(g, w).items():
@@ -254,24 +229,61 @@ def bracket_master(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
 
 
 def _f_side(f: DiffPoly, w: int, ts) -> dict:
-    """{t: (lambda+d)^t Phi} on packed keys of width w, for 0 and at least
-    every t in ts, Phi the partials of f keyed by order put through
-    lambda -> -lambda-d.  A bracket_memo() keeps them in _memo under
-    (f terms, w), for every charge; a later call adds any t not there yet
-    from Phi, power 0.  The packed derivative rows live in a _Rows of
-    width w made for this call, and only if it builds or adds something.
+    """{t: (lambda+d)^t Phi} on packed keys of width w for 0 and every t in
+    ts, kept in _memo under (f terms, w) in a bracket_memo(), where a later
+    call adds any t missing, in the order _f_side_adds counts cheaper:
+    merged, a chain per lambda coefficient of Phi, power 0; or per partial,
+    (lambda+d)^t Phi = sum_m (-1)^m (lambda+d)^(t+m) df/du^(m), a chain per
+    partial for every t.  Phi itself is always built per partial.  The
+    packed rows live for one call, in a _Rows made only if it adds a power.
     """
-    sides = {} if _memo is None else _memo
-    key = (frozenset(f.terms.items()), w)
-    powers = sides.get(key)
-    if powers is not None and all(t in powers for t in ts):
+    powers = ({} if _memo is None else _memo).setdefault((frozenset(f.terms.items()), w), {})
+    new = sorted({0, *ts}.difference(powers))
+    if not new:
+        counts["reused"] += 1
         return powers
+    merged, split = _f_side_adds(f, new)
+    chained = [t for t in new if not t] if merged <= split else new
+    counts["extended" if powers else "merged" if merged <= split else "per-partial"] += 1
+    counts["powers"] += len(new)
     row_of = _Rows(w).__getitem__
-    if powers is None:
-        powers = sides[key] = {0: _strip(_neg_shift_sums(_packed_partials(f, w), row_of))}
-    for t, sh in _shift_sums(powers[0], [t for t in ts if t not in powers], row_of).items():
+    sums = {t: {} for t in chained}
+    for m, fm in _packed_partials(f, w).items() if chained else ():
+        into = {t + m: sums[t] for t in chained}
+        _shift_sums({0: fm}, into, row_of, into, -1 if m % 2 else 1)
+    for t, sh in sums.items():
+        powers[t] = _strip(sh)
+    for t, sh in _shift_sums(powers[0], [t for t in new if t not in sums], row_of).items():
         powers[t] = _strip(sh)
     return powers
+
+
+def f_side_adds(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> int:
+    """The adds building bracket_master(f, g, ctx)'s f side outside a memo:
+    the g side asks powers 0..n+1, and n+3 if c != 0, for each order n of g."""
+    ts = {0}
+    for n in g.orders_present():
+        ts.update(range(n + 2), [n + 3] if ctx.central_charge else ())
+    return min(_f_side_adds(f, ts))
+
+
+def _f_side_adds(f: DiffPoly, ts) -> tuple:
+    """(merged, per partial): the _add_into calls each order of _f_side
+    makes for the powers ts (Phi is power 0), exact unless terms cancel,
+    from the orders of f alone.  A chain adds at each step k into each
+    power m >= k it serves, or at k = 0 only if its coefficient is
+    constant: df/du^(m) when dmL is alone in each monomial holding it,
+    and Phi's lambda^j when each m >= j is."""
+    const: dict = {}
+    for mono in f.terms:
+        for k in set(mono):
+            const[k] = const.get(k, True) and len(mono) == 1
+    top = max((m for m, c in const.items() if not c), default=-1)
+    n, s = len(ts) - (0 in ts), sum(ts)
+    merged = (top + 1) * (s + n) + n * sum(m > top for m in const)
+    if 0 in ts:
+        merged += sum(1 if c else m + 1 for m, c in const.items())
+    return merged, sum(len(ts) if c else s + len(ts) * (m + 1) for m, c in const.items())
 
 
 def _pack(m: tuple, w: int) -> int:
@@ -304,10 +316,8 @@ def _packed_partials(f: DiffPoly, w: int) -> dict:
 
 
 def _products(shifted: dict, coeffs: dict) -> dict:
-    """sum_n coeffs[n] * shifted[n] on packed keys as {power: {key: int}},
-    shifted[n] being {power: {key: int}} and coeffs[n] {key: int}: each
-    product term is added straight into the sum of its lambda power, which
-    may hold zeros, as in _add_into."""
+    """sum_n coeffs[n] * shifted[n] ({key: int} times {power: {key: int}}),
+    each term added into its power's sum, which may hold zeros."""
     sums: dict = {}
     for n, other in coeffs.items():
         for k, q in shifted[n].items():
@@ -411,12 +421,10 @@ def skew_defect(f: DiffPoly, g: DiffPoly, ctx: AlgebraCtx) -> LambdaPoly:
 
 
 def jacobi_defect(a: DiffPoly, b: DiffPoly, c: DiffPoly, ctx: AlgebraCtx) -> BiLambdaPoly:
-    """{a_lam {b_mu c}} - {{a_lam b}_(lam+mu) c} - {b_mu {a_lam c}}.
-
-    The middle term brackets each lambda coefficient of {a_lam b} against
-    c in a fresh variable, then substitutes that variable by lam+mu with
-    binomial expansion.  Identically zero when the Jacobi identity holds.
-    """
+    """{a_lam {b_mu c}} - {{a_lam b}_(lam+mu) c} - {b_mu {a_lam c}}, the
+    middle term bracketing each lambda coefficient of {a_lam b} against c
+    in a fresh variable, then put to lam+mu by binomial expansion.
+    Identically zero when the Jacobi identity holds."""
     sums: dict = {}
     for j, w in bracket_master(b, c, ctx).terms.items():
         for i, v in bracket_master(a, w, ctx).terms.items():
@@ -438,11 +446,9 @@ def hamiltonian(f: DiffPoly) -> DiffPoly:
 
 def hamiltonian_defects(fm, gm, ctx: AlgebraCtx) -> dict[int, DiffPoly]:
     """H(f_(n)g) minus the weight the grading axiom demands, for every
-    lambda power n of the bracket, in ascending n, from one bracket.
-
-    fm and gm are monomials (order tuples); both are eigenvectors of the
-    grading operator, so every defect must vanish identically.
-    """
+    lambda power n of one bracket, ascending; fm and gm are monomials
+    (order tuples), eigenvectors of the grading operator, so every defect
+    must vanish identically."""
     fm, gm = mono(fm), mono(gm)
     br = bracket_master(DiffPoly.monomial(fm), DiffPoly.monomial(gm), ctx)
     weight = conformal_weight(fm) + conformal_weight(gm)

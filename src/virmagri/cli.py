@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from .brackets import bracket_master, nth_product
+from .brackets import bracket_master, f_side_adds, nth_product
 from .diffpoly import AlgebraCtx, DiffPoly
 from .errors import DomainError, ParseError
 from .k0sigma import (
@@ -73,6 +73,26 @@ def _bounded(f: DiffPoly) -> DiffPoly:
     if top > MAX_ORDER:
         raise DomainError("derivative orders are at most %d here, got d%dL" % (MAX_ORDER, top))
     return f
+
+
+# brackets.f_side_adds counts, before any arithmetic, the adds that build
+# bracket_master's f side, the powers (lambda+d)^t Phi, in the order the
+# bracket takes: about 1.5 k^2 for d<k>L^2 against d<k>L.  On a 2-core
+# x86_64 host a spawned `bracket d450L^2 d450L` (305,778 adds) took 4.6 s
+# and printed 80 MB, and d500L (377,253 adds) 6.4 s; d3000L (13.5 million)
+# ran out of memory.  The count sees no growth in the terms of a
+# derivative: d150L^3 against d150L makes 34,428 adds and takes 22 s.
+BRACKET_MAX_ADDS = 320_000
+
+
+def _bracketable(f: DiffPoly, g: DiffPoly, ctx) -> tuple:
+    """(f, g), refused past MAX_ORDER or BRACKET_MAX_ADDS before any arithmetic."""
+    f, g = _bounded(f), _bounded(g)
+    adds = f_side_adds(f, g, ctx)
+    if adds > BRACKET_MAX_ADDS:
+        raise DomainError("the bracket's f side takes at most %d adds here, got %d"
+                          % (BRACKET_MAX_ADDS, adds))
+    return f, g
 
 
 # Quantizing writes a factor dkL (the part k+1) as the Ind/Res word
@@ -143,14 +163,13 @@ def _bounded_product(a, b, size=len):
 def _run_bracket(args, ctx):
     if _operand_kind(args.a) == "k0" and _operand_kind(args.b) == "k0":
         a, b = parse_k0sigma(args.a), parse_k0sigma(args.b)
-        for e in (a, b):
-            _bounded(phi_sigma(e))
+        _bracketable(phi_sigma(a), phi_sigma(b), ctx)
         return lambda_bracket_k0(a, b, ctx)
-    return bracket_master(_bounded(parse_diffpoly(args.a)), _bounded(parse_diffpoly(args.b)), ctx)
+    return bracket_master(*_bracketable(parse_diffpoly(args.a), parse_diffpoly(args.b), ctx), ctx)
 
 
 def _run_nprod(args, ctx):
-    return nth_product(_bounded(parse_diffpoly(args.a)), _bounded(parse_diffpoly(args.b)),
+    return nth_product(*_bracketable(parse_diffpoly(args.a), parse_diffpoly(args.b), ctx),
                        args.n, ctx)
 
 

@@ -541,3 +541,65 @@ def test_kernel_keeps_nothing_between_calls():
         for i, (f, g) in enumerate(cases):
             assert bracket_master(f, g, first) == want[i, first]
             assert bracket_master(f, g, second) == want[i, second]
+
+
+def test_each_f_side_order_is_taken_and_checked(monkeypatch):
+    # dkL^2 against dkL has one partial, of order k: one chain per partial
+    # adds far less than k + 1 chains, one per lambda coefficient of Phi.
+    # dense(8) has a partial of every order up to 7 against at most 11
+    # powers, and the merged order adds less.  At charge 0 no g-side term
+    # is added by _add_into, so every call of it is an f-side add, as many
+    # as f_side_adds counts before any arithmetic.
+    add_into = brackets._add_into
+    dk = DiffPoly.gen(20)
+    for (f, g), order in (((dk * dk, dk), "per-partial"), ((dense(8), dense(8, 2)), "merged")):
+        for ctx in CHARGES:
+            before = dict(brackets.counts)
+            adds = []
+            monkeypatch.setattr(brackets, "_add_into", lambda *a: adds.append(1) or add_into(*a))
+            got = bracket_master(f, g, ctx)
+            monkeypatch.undo()
+            built = {k: v - before[k] for k, v in brackets.counts.items() if v != before[k]}
+            assert set(built) == {order, "powers"} and built[order] == 1, (order, ctx)
+            if ctx is C0:
+                assert len(adds) == brackets.f_side_adds(f, g, ctx), order
+            assert got == bracket_recursive(f, g, ctx), (order, ctx)
+
+
+def test_high_order_square_derive_budget(monkeypatch):
+    # d100L^2 against d100L takes the per-partial order: one chain of 201
+    # derive_terms steps, where one chain per lambda coefficient of Phi
+    # made 10,503.
+    d100 = DiffPoly.gen(100)
+    calls = _count_derive_steps(monkeypatch)
+    got = bracket_master(d100 * d100, d100, C0)
+    assert 0 < len(calls) <= 250
+    monkeypatch.undo()
+    monkeypatch.setattr(brackets, "_f_side_adds", lambda f, ts: (0, 1))  # merged
+    assert got == bracket_master(d100 * d100, d100, C0)
+
+
+def _sparse_st(max_factors: int, max_terms: int):
+    """Polynomials of at most max_terms monomials, each of 1 to max_factors
+    factors of order at most 40."""
+    monos = st.lists(st.integers(0, 40), min_size=1, max_size=max_factors).map(tuple)
+    terms = st.dictionaries(monos, st.integers(-5, 5).filter(bool), min_size=1,
+                            max_size=max_terms)
+    return terms.map(lambda ts: sum((DiffPoly.monomial(m, c) for m, c in ts.items()),
+                                    DiffPoly.zero()))
+
+
+# Sums of 5 to 30 distinct single orders up to 40.
+_MANY_ORDERS = st.dictionaries(st.integers(0, 40), st.integers(-5, 5).filter(bool), min_size=5,
+                               max_size=30).map(
+    lambda ts: sum((DiffPoly.monomial((k,), c) for k, c in ts.items()), DiffPoly.zero()))
+
+
+@settings(max_examples=12, derandomize=True)
+@given(st.one_of(_sparse_st(2, 3), _MANY_ORDERS), st.one_of(_sparse_st(3, 4), _MANY_ORDERS))
+def test_kernel_matches_oracle_beyond_the_sweep_region(f, g):
+    # Derivative orders up to 40, far past the sweeps' total degree 8, in
+    # both f-side orders.  The left operand keeps to 2 factors: the
+    # oracle's skew flip of a 3-factor monomial of order 40 takes seconds.
+    for ctx in CHARGES:
+        assert bracket_master(f, g, ctx) == bracket_recursive(f, g, ctx)

@@ -8,8 +8,9 @@ import time
 from pathlib import Path
 
 from helpers import syt_by_hooks
-from virmagri import DiffPoly, IndResExpr, K0NElem, WeylElem, XPoly
-from virmagri.cli import MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, main
+from virmagri import AlgebraCtx, DiffPoly, IndResExpr, K0NElem, WeylElem, XPoly
+from virmagri.brackets import f_side_adds
+from virmagri.cli import BRACKET_MAX_ADDS, MAX_ORDER, QUANTIZE_MAX_LETTERS, SYT_MAX_BOXES, main
 from virmagri.report import CheckReport
 from virmagri.text import (
     MAX_FACTORS,
@@ -77,6 +78,28 @@ def test_bracket_huge_derivative_order_is_refused_fast(capsys):
         assert time.perf_counter() - start < 5
         assert (code, out) == (3, "")
         assert err.startswith("domain error:") and "Traceback" not in err
+
+
+def test_brackets_past_the_f_side_limit_are_refused_fast(capsys):
+    # d3000L^2 against d3000L is inside the order limit, but its f side
+    # takes 13.5 million adds; it ran out of memory with a traceback.
+    for argv in (("bracket", "d3000L^2", "d3000L"), ("nprod", "d3000L^2", "d3000L", "2"),
+                 ("bracket", "d500L^2", "d500L", "--charge", "1"),
+                 ("bracket", "[3001,3001]", "[3001]")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("domain error:") and "adds" in err and "Traceback" not in err
+    # Every order of L against d3000L, and d450L^2 against d450L at any
+    # charge, stay inside the limit.
+    C0, C1 = AlgebraCtx(0), AlgebraCtx(1)
+    L, d3000, d450 = DiffPoly.gen(0), DiffPoly.gen(3000), DiffPoly.gen(450)
+    assert f_side_adds(L, d3000, C1) == 3003
+    assert f_side_adds(d450 * d450, d450, C1) <= BRACKET_MAX_ADDS
+    assert f_side_adds(d3000 * d3000, d3000, C0) == 13513503
+    code, out, err = run(capsys, "bracket", "L", "d3000L", "--charge", "1")
+    assert (code, err) == (0, "") and out.endswith(" + (1)*lam^3003")
 
 
 def test_every_verb_refuses_orders_past_the_limit(capsys):

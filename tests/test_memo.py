@@ -16,15 +16,24 @@ L = DiffPoly.gen(0)
 C1 = AlgebraCtx(1)
 
 
+class _Builds:
+    """The f sides built since it was made, in either order, read from
+    brackets.counts: len() is the count so far."""
+
+    def __init__(self):
+        self.start = self._built()
+
+    @staticmethod
+    def _built():
+        return brackets.counts["merged"] + brackets.counts["per-partial"]
+
+    def __len__(self):
+        return self._built() - self.start
+
+
 @pytest.fixture
-def builds(monkeypatch):
-    """Count the f sides built: each build starts with one _neg_shift_sums
-    call on the partials of f."""
-    calls = []
-    neg_shift_sums = brackets._neg_shift_sums
-    monkeypatch.setattr(brackets, "_neg_shift_sums",
-                        lambda *args: calls.append(1) or neg_shift_sums(*args))
-    return calls
+def builds():
+    return _Builds()
 
 
 def test_memo_keys_on_coefficients(builds):
