@@ -91,8 +91,7 @@ def test_brackets_past_the_f_side_limit_are_refused_fast(capsys):
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, ""), argv
         assert err.startswith("domain error:") and "adds" in err and "Traceback" not in err
-    # Every order of L against d3000L, and d450L^2 against d450L at any
-    # charge, stay inside the limit.
+    # L against d3000L and d450L^2 against d450L stay inside the limit.
     C0, C1 = AlgebraCtx(0), AlgebraCtx(1)
     L, d3000, d450 = DiffPoly.gen(0), DiffPoly.gen(3000), DiffPoly.gen(450)
     assert f_side_adds(L, d3000, C1) == 3003
