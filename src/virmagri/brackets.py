@@ -11,16 +11,16 @@ an f side is built in the cheaper of two orders, counted before any
 arithmetic, both through the one binomial loop _shift_sums.
 bracket_recursive reduces by the product rule and skew-symmetry down to
 single generators, with its own leaf and skew flip, so a fault in the
-shift loops cannot reach both; the sweeps compare the two case by case.
+shift loop cannot reach both; the sweeps compare the two case by case.
 
 Both add the terms of each lambda power in place into one plain
 {monomial: int} dict, wrapped once.  bracket_master packs a monomial into
 an int, the count of factors dkL in its w-bit field k, so a product of
 monomials is one integer add.  The LambdaPoly shift methods run the same
-loops (_shift_sums, _neg_shift_sums) on tuple keys.  Every derivative step
-is diffpoly.derive_terms, on DiffPoly's cached rows or a _Rows of packed
-ones.  A bracket_memo() shares each left operand's f side across
-bracket_master calls and charges; counts tallies the f-side work.
+loop on tuple keys, lambda -> -lambda - d in its neg mode.  Every
+derivative step is diffpoly.derive_terms, on DiffPoly's cached rows or a
+_Rows of packed ones.  A bracket_memo() shares each left operand's f side
+across bracket_master calls and charges; counts tallies the f-side work.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class LambdaPoly(Sparse):
         return _wrap(_shift_sums(self._plain(), (m,), _derive_row)[m])
 
     def subst_neg_shift(self) -> "LambdaPoly":
-        """Substitute lambda -> -lambda - d; see _neg_shift_sums."""
-        return _wrap(_neg_shift_sums(self._plain(), _derive_row))
+        """Substitute lambda -> -lambda - d; see _shift_sums, neg at t = 0."""
+        return _wrap(_shift_sums(self._plain(), (0,), _derive_row, True)[0])
 
     def _plain(self) -> dict:
         return {k: p.terms for k, p in self.terms.items()}
@@ -71,41 +71,30 @@ def _check_exponent(m: int) -> None:
         raise DomainError("exponent must be non-negative, got %d" % m)
 
 
-def _shift_sums(terms: dict, ms, row_of, into=None, sign: int = 1) -> dict:
-    """{m: {power: {monomial: int}}} of sign * (lambda + d)^m for every m
-    in ms, added into into[m] if into is given; terms is {power: {monomial:
-    int}} and row_of the row source of each derive_terms step.  lambda^j P
-    goes to sum_k C(m,k) lambda^(j+m-k) d^k P: each coefficient's chain
-    runs once, up to max(ms), adding d^k P, scaled, into the sum of every
-    m >= k, with sign * C(m,k) made from sign * C(m,k-1) on first use.
-    """
-    into = {m: {} for m in ms} if into is None else into
-    rows = [(m, [sign], into[m]) for m in sorted(set(ms), reverse=True)]
-    top = rows[0][0] if rows else -1
+def _shift_sums(terms: dict, ts, row_of, neg: bool = False) -> dict:
+    """{t: {power: {monomial: int}}} of (lambda + d)^t sum_j lambda^j P_j,
+    or with neg of (lambda + d)^t sum_j (-lambda - d)^j P_j = sum_j (-1)^j
+    (lambda + d)^(t+j) P_j, for every t in ts; terms is {j: P_j}, P_j a
+    {monomial: int}, and row_of the row source of each derive_terms step.
+    Each P_j's chain runs once, to its top exponent, adding C(e,k) d^k P_j
+    into the sum of every t whose exponent e >= k, C(e,k) made from
+    C(e,k-1) on first use in a row per e that chains reaching e share."""
+    ts = sorted(set(ts), reverse=True)
+    out, rows = {t: {} for t in ts}, {}
     for j, p in terms.items():
+        e0, s = (j, -1 if j % 2 else 1) if neg else (0, 1)
+        chains = [(t + e0, rows.setdefault(t + e0, [1]), out[t]) for t in ts]
+        top = ts[0] + e0 if ts else -1
         for k in range(top + 1):
-            for m, row, sums in rows:
-                if m < k:
+            for e, row, sums in chains:
+                if e < k:
                     break
                 if k == len(row):
-                    row.append(row[-1] * (m - k + 1) // k)
-                _add_into(sums, j + m - k, p, row[k])
+                    row.append(row[-1] * (e - k + 1) // k)
+                _add_into(sums, e - k + j - e0, p, s * row[k])
             if k == top or not (p := derive_terms(p, row_of)):
                 break
-    return into
-
-
-def _neg_shift_sums(terms: dict, row_of) -> dict:
-    """lambda -> -lambda - d on {power: {monomial: int}}, row_of as in
-    _shift_sums: lambda^k P goes to sum_r (-1)^k C(k,r) lambda^(k-r) d^r P."""
-    sums: dict = {}
-    for k, p in terms.items():
-        s = -1 if k % 2 else 1
-        for r in range(k + 1):
-            _add_into(sums, k - r, p, s * comb(k, r))
-            if r == k or not (p := derive_terms(p, row_of)):
-                break
-    return sums
+    return out
 
 
 def _add_into(sums: dict, k, terms: dict, c: int) -> None:
@@ -234,8 +223,9 @@ def _f_side(f: DiffPoly, w: int, ts) -> dict:
     call adds any t missing, in the order _f_side_adds counts cheaper:
     merged, a chain per lambda coefficient of Phi, power 0; or per partial,
     (lambda+d)^t Phi = sum_m (-1)^m (lambda+d)^(t+m) df/du^(m), a chain per
-    partial for every t.  Phi itself is always built per partial.  The
-    packed rows live for one call, in a _Rows made only if it adds a power.
+    partial for every t.  Either is one neg _shift_sums call over the
+    partials, for Phi or for every power, the merged powers one call more.
+    The packed rows live for one call, in a _Rows made only if it adds one.
     """
     powers = ({} if _memo is None else _memo).setdefault((frozenset(f.terms.items()), w), {})
     new = sorted({0, *ts}.difference(powers))
@@ -247,14 +237,12 @@ def _f_side(f: DiffPoly, w: int, ts) -> dict:
     counts["extended" if powers else "merged" if merged <= split else "per-partial"] += 1
     counts["powers"] += len(new)
     row_of = _Rows(w).__getitem__
-    sums = {t: {} for t in chained}
-    for m, fm in _packed_partials(f, w).items() if chained else ():
-        into = {t + m: sums[t] for t in chained}
-        _shift_sums({0: fm}, into, row_of, into, -1 if m % 2 else 1)
-    for t, sh in sums.items():
-        powers[t] = _strip(sh)
-    for t, sh in _shift_sums(powers[0], [t for t in new if t not in sums], row_of).items():
-        powers[t] = _strip(sh)
+    if chained:
+        for t, sh in _shift_sums(_packed_partials(f, w), chained, row_of, True).items():
+            powers[t] = _strip(sh)
+    if rest := new[len(chained):]:
+        for t, sh in _shift_sums(powers[0], rest, row_of).items():
+            powers[t] = _strip(sh)
     return powers
 
 

@@ -66,17 +66,26 @@ def test_shift_apply_matches_stepwise_model(terms, m):
     assert P.shift_apply(m) == stepwise_shift(P, m, 1)
 
 
-@given(st.dictionaries(st.integers(0, 4), diffpoly_st(5), max_size=4),
-       st.sets(st.integers(0, 12), max_size=5))
-def test_shifts_match_stepwise_model(terms, ms):
+@pytest.mark.parametrize("neg", [False, True])
+@given(terms=st.dictionaries(st.integers(0, 4), diffpoly_st(5), max_size=4),
+       ms=st.sets(st.integers(0, 12), max_size=5))
+def test_shifts_match_stepwise_model(neg, terms, ms):
     # Several orders at once, as bracket_master's f side asks for them.
     # Orders up to 12 run past the vanishing derivative of a low-degree
     # coefficient, so a chain stops early while larger m are still open.
+    # With neg, (lambda+d)^m sum_j (-lambda-d)^j P_j is sum_j (-1)^j
+    # (lambda+d)^(m+j) P_j, each P_j taken from lambda^0.
     P = LambdaPoly(terms)
-    got = _shift_sums(P._plain(), ms, _derive_row)
+    got = _shift_sums(P._plain(), ms, _derive_row, neg)
     assert sorted(got) == sorted(ms)
     for m in ms:
-        assert _wrap(got[m]) == stepwise_shift(P, m, 1)
+        if not neg:
+            want = stepwise_shift(P, m, 1)
+        else:
+            want = LambdaPoly.zero()
+            for j, p in terms.items():
+                want = want + stepwise_shift(LambdaPoly.of(p), m + j, 1).scale((-1) ** j)
+        assert _wrap(got[m]) == want
 
 
 def _count_derive_steps(monkeypatch) -> list:
@@ -206,6 +215,14 @@ def test_negative_exponents_are_refused():
             base.lambda_shift(-1, sign)
     with pytest.raises(DomainError):
         base.shift_apply(-1)
+
+
+@given(st.dictionaries(st.integers(0, 6), diffpoly_st(5), max_size=4))
+def test_subst_neg_shift_matches_stepwise_model(terms):
+    want = LambdaPoly.zero()
+    for k, p in terms.items():
+        want = want + stepwise_shift(LambdaPoly.of(p), k, -1)
+    assert LambdaPoly(terms).subst_neg_shift() == want
 
 
 @given(diffpoly_st(6))
@@ -490,8 +507,8 @@ def test_oracle_runs_without_the_kernel(monkeypatch):
     refused = {name for name, v in vars(brackets).items()
                if name.startswith("_") and not name.startswith("__") and callable(v)
                and name not in allowed} | {"derive_terms"}
-    assert {"_f_side", "_products", "_shift_sums", "_neg_shift_sums", "_pack", "_unpack",
-            "_packed_partials", "_Rows"} <= refused
+    assert {"_f_side", "_products", "_shift_sums", "_pack", "_unpack", "_packed_partials",
+            "_Rows"} <= refused
     for name in refused:
         monkeypatch.setattr(brackets, name, refuse)
     for i, (f, g) in enumerate(inputs):
