@@ -76,9 +76,9 @@ def _shift_sums(terms: dict, ts, row_of, neg: bool = False) -> dict:
     or with neg of (lambda + d)^t sum_j (-lambda - d)^j P_j = sum_j (-1)^j
     (lambda + d)^(t+j) P_j, for every t in ts; terms is {j: P_j}, P_j a
     {monomial: int}, and row_of the row source of each derive_terms step.
-    Each P_j's chain runs once, to its top exponent, adding C(e,k) d^k P_j
-    into the sum of every t whose exponent e >= k, C(e,k) made from
-    C(e,k-1) on first use in a row per e that chains reaching e share."""
+    (lambda + d)^e = sum_k C(e,k) lambda^(e-k) d^k: each P_j's chain runs
+    once, adding d^k P_j, scaled, into the sum of every t whose e >= k, with
+    C(e,k) from C(e,k-1) on first use, in a row per e that chains share."""
     ts = sorted(set(ts), reverse=True)
     out, rows = {t: {} for t in ts}, {}
     for j, p in terms.items():
@@ -223,9 +223,9 @@ def _f_side(f: DiffPoly, w: int, ts) -> dict:
     call adds any t missing, in the order _f_side_adds counts cheaper:
     merged, a chain per lambda coefficient of Phi, power 0; or per partial,
     (lambda+d)^t Phi = sum_m (-1)^m (lambda+d)^(t+m) df/du^(m), a chain per
-    partial for every t.  Either is one neg _shift_sums call over the
-    partials, for Phi or for every power, the merged powers one call more.
-    The packed rows live for one call, in a _Rows made only if it adds one.
+    partial for every t.  One neg _shift_sums call over the partials builds
+    Phi, or every power per partial; merged, one more builds the rest.  The
+    packed rows live for one call, in a _Rows made only if it adds a power.
     """
     powers = ({} if _memo is None else _memo).setdefault((frozenset(f.terms.items()), w), {})
     new = sorted({0, *ts}.difference(powers))
